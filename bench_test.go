@@ -376,7 +376,7 @@ func BenchmarkOnlineTuningSession(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := cache.MustConfigurable(cache.MinConfig())
-		o := tuner.NewOnline(c, p, 10_000)
+		o := tuner.NewOnline(c, p, tuner.OnlineOptions{Window: 10_000})
 		for _, a := range data {
 			if o.Done() {
 				break
@@ -390,7 +390,7 @@ func BenchmarkOnlineTuningSession(b *testing.B) {
 	b.StopTimer()
 
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := tuner.NewOnline(c, p, 10_000)
+	o := tuner.NewOnline(c, p, tuner.OnlineOptions{Window: 10_000})
 	for _, a := range data {
 		if o.Done() {
 			break

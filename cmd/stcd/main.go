@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"selftune/internal/daemon"
-	"selftune/internal/engine"
 	"selftune/internal/fleet"
 	"selftune/internal/obs"
 	"selftune/internal/programs"
@@ -96,12 +95,8 @@ func run() error {
 	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "client mode: first retry delay, doubling per attempt with deterministic jitter")
 	retrySeed := flag.Uint64("retry-seed", 0, "client mode: seed for the deterministic retry jitter")
 	traceTag := flag.String("trace-tag", "", "client mode: opaque tag carried in the session's open frame; the server stamps it onto the session's events for end-to-end correlation")
-	fastsim := flag.Bool("fastsim", true, "replay through the fast kernels; -fastsim=false forces the reference path")
-	fused := flag.Bool("fused", false, "serve four-bank sweeps from the fused single-pass 27-config kernel (bit-identical, opt-in)")
 	ofl := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	engine.SetFastSim(*fastsim)
-	engine.SetFusedSweep(*fused)
 
 	switch {
 	case *serve && *connect != "":

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"selftune/internal/daemon"
-	"selftune/internal/engine"
 	"selftune/internal/obs"
 	"selftune/internal/programs"
 	"selftune/internal/report"
@@ -50,12 +49,8 @@ func run() error {
 	obsAddr := flag.String("obs-addr", "", "serve /healthz, /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:8321)")
 	obsLog := flag.String("obs-log", "", "append JSONL telemetry events to this file (feed it to stcexplain)")
 	obsWait := flag.Duration("obs-wait", 0, "keep the -obs-addr endpoints up this long after the stream ends")
-	fastsim := flag.Bool("fastsim", true, "replay through the fast kernels (bit-identical to the reference simulators); -fastsim=false forces the reference path")
-	fused := flag.Bool("fused", false, "serve four-bank sweeps from the fused single-pass 27-config kernel (bit-identical, opt-in)")
 	ofl := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	engine.SetFastSim(*fastsim)
-	engine.SetFusedSweep(*fused)
 
 	if *list {
 		fmt.Println("synthetic profiles:")

@@ -22,7 +22,7 @@ func liveState(t *testing.T, windows uint64) *State {
 		t.Fatal("no crc profile")
 	}
 	_, data := trace.Split(trace.NewSliceSource(prof.Generate(600_000)))
-	o := tuner.NewOnline(cache.MustConfigurable(cache.MinConfig()), energy.DefaultParams(), 4000)
+	o := tuner.NewOnline(cache.MustConfigurable(cache.MinConfig()), energy.DefaultParams(), tuner.OnlineOptions{Window: 4000})
 	consumed := uint64(0)
 	for _, a := range data {
 		o.Access(a.Addr, a.IsWrite())
@@ -78,7 +78,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore cache from decoded image: %v", err)
 	}
-	if _, err := tuner.ResumeOnline(c, energy.DefaultParams(), got.Session.TunerState(), nil); err != nil {
+	if _, err := tuner.ResumeOnline(c, energy.DefaultParams(), got.Session.TunerState(), tuner.OnlineOptions{}); err != nil {
 		t.Fatalf("resume session from decoded state: %v", err)
 	}
 }

@@ -148,7 +148,7 @@ func New(opts Options) *System {
 }
 
 func (c *side) startSession(p *energy.Params, window uint64) {
-	c.session = tuner.NewOnlineObserved(c.cache, p, window, nil, c.rec, c.started)
+	c.session = tuner.NewOnline(c.cache, p, tuner.OnlineOptions{Window: window, Rec: c.rec, Session: c.started})
 	c.started++
 	c.nextPeriodic = c.accesses + c.opts.Period
 }

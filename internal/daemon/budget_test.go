@@ -33,7 +33,6 @@ func TestDaemonBudgetConstrainsSettle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	if d.Budget() != 4096 {
 		t.Fatalf("Budget() = %d, want 4096", d.Budget())
 	}
@@ -57,7 +56,6 @@ func TestSetBudgetTriggersConstrainedRetune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	settleStrided(t, d)
 	if got := d.Settled().Cfg; got.SizeBytes <= 2048 {
 		t.Fatalf("unconstrained settle at %v; the stream must favour a larger cache for the shrink to bind", got)
@@ -113,14 +111,12 @@ func TestBudgetSurvivesRestart(t *testing.T) {
 	// A couple of windows so at least one boundary snapshot carries the
 	// budget to disk.
 	feedStrided(t, d1, d1.Consumed()+2_000)
-	consumed := d1.Consumed()
-	d1.Kill()
+	consumed := d1.Consumed() // d1 is abandoned without Close: a kill
 
 	d2, err := New(opts) // note: no BudgetBytes — it must come from disk
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Kill()
 	if !d2.Recovered() {
 		t.Fatal("second life did not recover from the checkpoint")
 	}
@@ -152,7 +148,6 @@ func TestBudgetSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d3.Kill()
 	if d3.Budget() != 4096 {
 		t.Fatalf("checkpointed budget lost to Options: Budget() = %d, want 4096", d3.Budget())
 	}

@@ -293,24 +293,17 @@ func (d *Daemon) drain(ctx context.Context, src trace.Source) error {
 	return ctx.Err()
 }
 
-// Close persists the most recent boundary snapshot (so a graceful shutdown
+// Close persists the most recent boundary snapshot, so a graceful shutdown
 // resumes exactly where it stopped, losing at most the partial window after
-// the boundary) and releases the session goroutine. Safe to call more than
-// once.
+// the boundary. Safe to call more than once. A daemon abandoned without
+// Close — the chaos harness's stand-in for SIGKILL — leaves durable state at
+// whatever the periodic checkpoints already wrote.
 func (d *Daemon) Close() error {
-	var err error
 	if d.store != nil && d.sess.Pending() != nil && d.boundaries > 0 {
-		err = d.persist(d.sess.Pending())
+		return d.persist(d.sess.Pending())
 	}
-	d.sess.Close()
-	return err
+	return nil
 }
-
-// Kill abandons the daemon without persisting anything — the chaos
-// harness's stand-in for SIGKILL. Durable state stays whatever the periodic
-// checkpoints already wrote; only the in-process search goroutine is
-// released (a real kill would take it down with the process).
-func (d *Daemon) Kill() { d.sess.Kill() }
 
 // SetBudget changes the capacity assignment (see Session.SetBudget) and
 // refreshes the gauges. Call between Steps only.

@@ -46,7 +46,6 @@ func TestDaemonRetunesOnPhaseDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	feedAll(t, d, accs)
 
 	if d.Retunes() == 0 {
@@ -80,7 +79,6 @@ func TestDaemonWatchdogAbortsStalledSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	feedAll(t, d, accs)
 
 	var fired bool
@@ -111,7 +109,6 @@ func TestDaemonDegradedMeterFallsBackSafely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	feedAll(t, d, accs)
 
 	out := d.Settled()
@@ -137,7 +134,6 @@ func TestDaemonGracefulShutdownResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer baseline.Kill()
 	feedAll(t, baseline, accs)
 
 	// First life: cancel partway through via a source that trips the

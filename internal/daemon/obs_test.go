@@ -20,7 +20,6 @@ func TestDaemonEventLogCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer full.Kill()
 	feedAll(t, full, accs)
 
 	const cap = 2
@@ -28,7 +27,6 @@ func TestDaemonEventLogCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capped.Kill()
 	feedAll(t, capped, accs)
 
 	fe, ce := full.Events(), capped.Events()
@@ -63,7 +61,6 @@ func TestDaemonTelemetryInertAndComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer d.Kill()
 		feedAll(t, d, accs)
 		return d
 	}
@@ -122,7 +119,6 @@ func TestDaemonRegistryGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	feedAll(t, d, accs)
 
 	checks := map[string]float64{
@@ -185,7 +181,6 @@ func TestDaemonCheckpointBytesUnchangedByRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	if !d.Recovered() {
 		t.Fatal("restart did not recover")
 	}

@@ -102,7 +102,7 @@ func ResumeSession(opts Options, st *checkpoint.State) (*Session, error) {
 	}
 	s.cache = c
 	if st.Session != nil {
-		o, err := tuner.ResumeOnlineObserved(c, opts.Params, st.Session.TunerState(), opts.Meter, opts.Rec, st.Retunes)
+		o, err := tuner.ResumeOnline(c, opts.Params, st.Session.TunerState(), tuner.OnlineOptions{Meter: opts.Meter, Rec: opts.Rec, Session: st.Retunes})
 		if err != nil {
 			return nil, fmt.Errorf("daemon: recover: %w", err)
 		}
@@ -140,7 +140,7 @@ func (s *Session) newSearch() *tuner.Online {
 // re-search path; zero value cold-starts).
 func (s *Session) newSearchFrom(start cache.Config) *tuner.Online {
 	s.searchT0 = time.Now()
-	return tuner.NewOnlineConstrained(s.cache, s.opts.Params, s.opts.Window, s.opts.Meter, s.opts.Rec, s.retunes, s.budget, start)
+	return tuner.NewOnline(s.cache, s.opts.Params, tuner.OnlineOptions{Window: s.opts.Window, Meter: s.opts.Meter, Rec: s.opts.Rec, Session: s.retunes, MaxBytes: s.budget, Start: start})
 }
 
 // span opens a deterministic span at the session's current coordinates (the
@@ -273,7 +273,6 @@ func (s *Session) settle() {
 		slog.Float64("energy", res.Best.Energy),
 		slog.Int("examined", res.NumExamined()),
 		slog.Uint64("settle_writebacks", s.search.SettleWritebacks()))
-	s.search.Close()
 	s.search = nil
 	s.sessionWindows = 0
 	s.baselined = false
@@ -313,10 +312,6 @@ func (s *Session) SetBudget(n int) {
 		slog.Int("budget_bytes", n),
 		slog.Int("prev_bytes", prev),
 		slog.Int("excluded", tuner.ExcludedByBudget(tuner.DefaultSpace(), n)))
-	if s.search != nil {
-		s.search.Close()
-		s.search = nil
-	}
 	s.retunes++
 	s.appendEvent(checkpoint.Event{At: s.consumed, Kind: "retune", Cfg: s.cache.Config(), Budget: n})
 	s.emit("daemon.retune", s.cache.Config().String(),
@@ -337,7 +332,6 @@ func (s *Session) Budget() int { return s.budget }
 // cache at whatever half-swept configuration it was probing.
 func (s *Session) watchdog() {
 	s.opts.Hists.search().ObserveSince(s.searchT0)
-	s.search.Close()
 	s.search = nil
 	safe := tuner.SafeConfig()
 	s.cache.AllowShrink = true
@@ -423,23 +417,10 @@ func (s *Session) Run(src trace.Source) error {
 	}
 }
 
-// Close releases the search goroutine, if one is running. The session keeps
-// its state (and Pending snapshot) readable. Safe to call more than once.
-func (s *Session) Close() {
-	if s.search != nil {
-		s.search.Close()
-	}
-}
-
-// Kill abandons the session without any shutdown work — the chaos harness's
-// stand-in for SIGKILL. Only the in-process search goroutine is released (a
-// real kill would take it down with the process).
-func (s *Session) Kill() {
-	if s.search != nil {
-		s.search.Close()
-		s.search = nil
-	}
-}
+// Close is a no-op kept for owners that release a Session like any other
+// closer: a Session holds no goroutine, file or other resource, and its
+// state (and Pending snapshot) stays readable.
+func (s *Session) Close() {}
 
 // Pending is the snapshot built at the most recent boundary (nil before the
 // first boundary of a fresh session). Owners persist it; Session never does.

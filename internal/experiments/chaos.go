@@ -147,7 +147,6 @@ func ChaosSoak(opt ChaosOptions) (*ChaosOutcome, error) {
 	if err := feed(base, accs, uint64(len(accs))); err != nil {
 		return nil, err
 	}
-	base.Kill()
 
 	out := &ChaosOutcome{
 		BaselineEvents: base.Events(),
@@ -187,7 +186,6 @@ func ChaosSoak(opt ChaosOptions) (*ChaosOutcome, error) {
 		if err := feed(d, accs, k); err != nil {
 			return nil, err
 		}
-		d.Kill()
 		if opt.CorruptHead {
 			n, err := corruptNewestCheckpoint(opt.Dir)
 			if err != nil {

@@ -318,7 +318,7 @@ func WindowSensitivityWorkers(n int, windows []uint64, p *energy.Params, workers
 		sessions := engine.Parallel(len(streams), workers, func(si int) sessionOutcome {
 			s := streams[si]
 			c := cache.MustConfigurable(cache.MinConfig())
-			o := tuner.NewOnline(c, p, w)
+			o := tuner.NewOnline(c, p, tuner.OnlineOptions{Window: w})
 			settled := 0
 			for i, a := range s.accs {
 				if o.Done() {

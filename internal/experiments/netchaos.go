@@ -128,7 +128,6 @@ func durableView(dir string, window uint64) (ev []checkpoint.Event, st *checkpoi
 	if err != nil {
 		return nil, nil, 0, false, err
 	}
-	defer d.Kill()
 	if !d.Recovered() {
 		return nil, nil, 0, false, nil
 	}

@@ -449,12 +449,10 @@ func (m *Manager) OpenTraced(id, trce string) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		d.Kill()
 		return fmt.Errorf("fleet: manager closed")
 	}
 	if _, ok := m.sessions[id]; ok {
 		m.mu.Unlock()
-		d.Kill()
 		return fmt.Errorf("fleet: session %q already open", id)
 	}
 	parked := false
@@ -474,7 +472,6 @@ func (m *Manager) OpenTraced(id, trce string) error {
 			m.rejected++
 			live := len(m.sessions)
 			m.mu.Unlock()
-			d.Kill()
 			aerr := &AdmissionError{
 				SID:         id,
 				Reason:      fmt.Sprintf("budget cannot cover a %dth session's %d B minimum footprint and the pending queue is full", admitted+1, m.minBytes),
@@ -693,7 +690,6 @@ func (m *Manager) revive(s *session) error {
 	s.mu.Lock()
 	if s.closed || s.health != Quarantined {
 		s.mu.Unlock()
-		d.Kill()
 		return fmt.Errorf("fleet: session %q is closed", s.id)
 	}
 	s.d = d
@@ -724,7 +720,7 @@ func (m *Manager) revive(s *session) error {
 }
 
 // quarantine moves an Active session out of service after a worker failure:
-// its daemon is killed (the last good checkpoint generation stays on disk),
+// its daemon is dropped (the last good checkpoint generation stays on disk),
 // and the session either waits out a batch-count backoff before revival or
 // — once the revive cap is exhausted — goes to Failed for good. Called by
 // the shard worker with no locks held.
@@ -734,7 +730,6 @@ func (m *Manager) quarantine(s *session, cause error) {
 		s.mu.Unlock()
 		return
 	}
-	d := s.d
 	terminal := m.opts.MaxRevives < 0 || s.revives >= m.opts.MaxRevives
 	s.cause = cause
 	if terminal {
@@ -748,9 +743,6 @@ func (m *Manager) quarantine(s *session, cause error) {
 	revives := s.revives
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	// Release the daemon's search goroutine; it is never stepped again.
-	// Durable state stays whatever the periodic checkpoints wrote.
-	d.Kill()
 
 	if terminal {
 		m.noteFailed(s, cause)
@@ -1039,7 +1031,7 @@ func (m *Manager) Close() error {
 // Kill abandons the fleet without persisting anything — the chaos harness's
 // stand-in for SIGKILL. Queued work is dropped on the floor, blocked
 // submitters are released with a closed error, and every session daemon is
-// killed; durable state stays whatever the periodic checkpoints (and
+// dropped; durable state stays whatever the periodic checkpoints (and
 // persistState calls) already wrote. Not for use concurrently with
 // CloseSession.
 func (m *Manager) Kill() {
@@ -1064,12 +1056,6 @@ func (m *Manager) Kill() {
 	}
 	for _, sh := range m.shards {
 		sh.wg.Wait()
-	}
-	for _, s := range ss {
-		s.mu.Lock()
-		d := s.d
-		s.mu.Unlock()
-		d.Kill()
 	}
 }
 
@@ -1248,13 +1234,12 @@ func (m *Manager) runBatch(s *session, d *daemon.Daemon, accs []trace.Access) (f
 // runClose closes the daemon on the worker, converting a panic inside the
 // final persist-and-release into an error so one session's poisoned close
 // cannot take down the shard worker and every other tenant pinned to it.
-// The daemon is killed on the way out; durable state stays at the last good
+// After a panic the daemon is dropped; durable state stays at the last good
 // checkpoint generation.
 func (m *Manager) runClose(s *session, d *daemon.Daemon) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.notePanic(s, r)
-			d.Kill()
 			err = fmt.Errorf("fleet: worker panic during close: %v", r)
 		}
 	}()

@@ -75,7 +75,6 @@ func resumedFinal(t *testing.T, dir string, window uint64) ([]checkpoint.Event, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	if !d.Recovered() {
 		t.Fatalf("no checkpoint recovered from %s", dir)
 	}

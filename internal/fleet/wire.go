@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"selftune/internal/trace"
@@ -366,7 +367,9 @@ func (m *Manager) Ingest(r io.Reader) error { return m.ingest(r, nil) }
 // rejections and per-session failures are reported back to the client as
 // error frames, so a refused Open carries its reason instead of dying
 // silently. The server's response stream shares the connection; it is
-// header-plus-error-frames only, written lazily.
+// header-plus-error-frames only, written lazily. A client may close its
+// socket without reading the acks: the reset that follows is a clean end
+// once no session it opened is still live.
 func (m *Manager) IngestConn(rw io.ReadWriter) error {
 	return m.ingest(rw, &responder{w: rw})
 }
@@ -462,6 +465,13 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 			return nil
 		}
 		if err != nil {
+			if errors.Is(err, syscall.ECONNRESET) && settled(owned) {
+				// A client that hangs up with acks still unread resets
+				// the connection instead of ending it. Once every session
+				// it opened has been closed and answered, that is a
+				// clean end, just like EOF.
+				return nil
+			}
 			return err
 		}
 		sid, err := readString(br, maxSIDLen)
@@ -554,6 +564,18 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 			return fmt.Errorf("fleet: unknown frame type 0x%02x", kind)
 		}
 	}
+}
+
+// settled reports whether a connection owns no live session: every open it
+// sent was refused, failed, or closed, and each outcome went back to the
+// client as an error or done frame.
+func settled(owned map[string]*ingestSession) bool {
+	for _, is := range owned {
+		if is != nil && !is.failed {
+			return false
+		}
+	}
+	return true
 }
 
 // byteReader adapts any reader to the io.ByteReader binary.ReadUvarint

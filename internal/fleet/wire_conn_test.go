@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -366,6 +368,98 @@ func TestIngestMidFrameStallAndResetIsolation(t *testing.T) {
 	// are gone.
 	if got := m.Sessions(); len(got) != 0 {
 		t.Fatalf("sessions still live after all connections ended: %v", got)
+	}
+}
+
+// TestIngestResetAfterAckedCloseIsClean resets a connection on purpose
+// (SO_LINGER 0) at a frame boundary. After the client's only session was
+// closed and acked, the reset is a clean end; with a session still live it
+// is a connection failure, and the session is still closed gracefully.
+func TestIngestResetAfterAckedCloseIsClean(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		closeIt bool
+	}{{"acked", true}, {"live", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			m, err := New(Options{Shards: 1, Session: daemon.Options{Window: 500}, Reg: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+
+			l, accept := listen(t)
+			conn, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			done := make(chan error, 1)
+			go func() {
+				sconn := accept()
+				done <- m.IngestConn(sconn)
+				sconn.Close()
+			}()
+
+			cw, err := NewConnWriter(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cw.Open("s"); err != nil {
+				t.Fatal(err)
+			}
+			if err := cw.Data("s", encodeSTRC(t, genTrace(t, "crc", 1_000))); err != nil {
+				t.Fatal(err)
+			}
+			if tc.closeIt {
+				if err := cw.Close("s"); err != nil {
+					t.Fatal(err)
+				}
+				// Wait for the ack: the server has handled the close and
+				// is parked at the next frame boundary.
+				want := append(append(wireMagic[:], wireVersion), frameDone, 1, 's')
+				got := make([]byte, len(want))
+				if _, err := io.ReadFull(conn, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("response = %x, want the done ack %x", got, want)
+				}
+			} else {
+				// Wait until the server has consumed the whole data frame,
+				// so the reset lands at a frame boundary.
+				for deadline := time.Now().Add(5 * time.Second); ; {
+					var prom strings.Builder
+					if err := reg.WriteProm(&prom); err != nil {
+						t.Fatal(err)
+					}
+					if strings.Contains(prom.String(), `fleet_session_consumed{session="s"} 1000`) {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("data frame never consumed:\n%s", prom.String())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			conn.(*net.TCPConn).SetLinger(0)
+			conn.Close()
+
+			select {
+			case err := <-done:
+				if tc.closeIt && err != nil {
+					t.Fatalf("ingest = %v, want nil after an acked close", err)
+				}
+				if !tc.closeIt && !errors.Is(err, syscall.ECONNRESET) {
+					t.Fatalf("ingest = %v, want a reset error with a session live", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("ingest never returned")
+			}
+			if got := m.Sessions(); len(got) != 0 {
+				t.Fatalf("sessions still live after the reset: %v", got)
+			}
+		})
 	}
 }
 

@@ -24,8 +24,7 @@ func record(t *testing.T) (*tuner.Online, []byte) {
 	_, accs := trace.Split(trace.NewSliceSource(prof.Generate(400_000)))
 	var log bytes.Buffer
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := tuner.NewOnlineObserved(c, energy.DefaultParams(), 2_000, nil, obs.NewJSONL(&log), 0)
-	defer o.Close()
+	o := tuner.NewOnline(c, energy.DefaultParams(), tuner.OnlineOptions{Window: 2_000, Rec: obs.NewJSONL(&log)})
 	for _, a := range accs {
 		o.Access(a.Addr, a.IsWrite())
 		if o.Done() {
@@ -109,7 +108,6 @@ func TestExplainBudgetConstrainedRetune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Kill()
 	// An 8 KiB-footprint strided pattern settles on the 8K tier
 	// unconstrained, so a 2048 B budget binds and forces a re-search.
 	feed := func(until uint64) {

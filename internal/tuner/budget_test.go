@@ -110,7 +110,7 @@ func strided(o *Online, n int) {
 func TestConstrainedOnlineSettlesWithinBudget(t *testing.T) {
 	for _, budget := range []int{2048, 4096} {
 		c := cache.MustConfigurable(cache.MinConfig())
-		o := NewOnlineConstrained(c, energy.DefaultParams(), 500, nil, nil, 0, budget, cache.Config{})
+		o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 500, MaxBytes: budget})
 		strided(o, 200_000)
 		if !o.Done() {
 			t.Fatalf("budget %d: search did not settle", budget)
@@ -137,7 +137,7 @@ func TestConstrainedSnapshotResume(t *testing.T) {
 	const budget = 4096
 	run := func(interrupt bool) SearchResult {
 		c := cache.MustConfigurable(cache.MinConfig())
-		o := NewOnlineConstrained(c, energy.DefaultParams(), 500, nil, nil, 0, budget, cache.Config{})
+		o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 500, MaxBytes: budget})
 		i := 0
 		for !o.Done() {
 			o.Access(uint32(i*64%32768), i%7 == 0)
@@ -159,7 +159,7 @@ func TestConstrainedSnapshotResume(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				o2, err := ResumeOnline(c2, energy.DefaultParams(), st, nil)
+				o2, err := ResumeOnline(c2, energy.DefaultParams(), st, OnlineOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +186,7 @@ func TestConstrainedSnapshotResume(t *testing.T) {
 func TestWarmStartSearch(t *testing.T) {
 	start := cache.Config{SizeBytes: 4096, Ways: 2, LineBytes: 32}
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := NewOnlineConstrained(c, energy.DefaultParams(), 500, nil, nil, 0, 4096, start)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 500, MaxBytes: 4096, Start: start})
 	strided(o, 200_000)
 	if !o.Done() {
 		t.Fatal("warm search did not settle")

@@ -76,8 +76,7 @@ func TestSearchTracedObservesWithoutSteering(t *testing.T) {
 func runObserved(t *testing.T, accs []trace.Access, window uint64, rec obs.Recorder) *Online {
 	t.Helper()
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := NewOnlineObserved(c, energy.DefaultParams(), window, nil, rec, 0)
-	defer o.Close()
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: window, Rec: rec})
 	for _, a := range accs {
 		o.Access(a.Addr, a.IsWrite())
 		if o.Done() {
@@ -150,7 +149,7 @@ func TestResumeReEmitsIdenticalStepEvents(t *testing.T) {
 	var broken bytes.Buffer
 	rec := obs.NewJSONL(&broken)
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := NewOnlineObserved(c, p, window, nil, rec, 0)
+	o := NewOnline(c, p, OnlineOptions{Window: window, Rec: rec})
 	i := 0
 	for ; ; i++ {
 		o.Access(accs[i].Addr, accs[i].IsWrite())
@@ -167,17 +166,15 @@ func TestResumeReEmitsIdenticalStepEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Close()
 
 	c2, err := cache.RestoreConfigurable(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := ResumeOnlineObserved(c2, p, snap, nil, rec, 0)
+	o2, err := ResumeOnline(c2, p, snap, OnlineOptions{Rec: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer o2.Close()
 	for ; i < len(accs) && !o2.Done(); i++ {
 		o2.Access(accs[i].Addr, accs[i].IsWrite())
 	}

@@ -11,10 +11,14 @@ import (
 // Online drives a live configurable cache through the heuristic without
 // ever flushing it, the way the on-chip tuner hardware does: each candidate
 // configuration is applied to the running cache and measured over the next
-// window of accesses. Because the heuristic only grows size/associativity
-// and only changes line size otherwise, every reconfiguration is flush-free
-// (§3.3); the final settle to the chosen configuration is the only
-// transition that may shrink, and its writeback cost is recorded.
+// window of accesses. Because the heuristic's sweeps only grow size, line
+// size and associativity, every reconfiguration is flush-free (§3.3); the
+// final settle to the chosen configuration is the only transition that may
+// shrink, and its writeback cost is recorded.
+//
+// Online is a plain value: the search is a step machine that Access advances
+// inline whenever a window completes, so a session owns no goroutine and an
+// abandoned one needs no teardown.
 type Online struct {
 	cache  *cache.Configurable
 	params *energy.Params
@@ -22,10 +26,7 @@ type Online struct {
 	warmup uint64
 	meter  Meter
 
-	req  chan cache.Config
-	resp chan EvalResult
-	done chan SearchResult
-	quit chan struct{}
+	search *search // nil once finished or aborted
 
 	pending    bool
 	count      uint64
@@ -36,19 +37,16 @@ type Online struct {
 	settleWB   uint64
 
 	// rec and sessionID are the telemetry seam: every heuristic step is
-	// recorded as one event keyed (session, window, step, config). fed
-	// counts measurements consumed by the search — it is touched only by
-	// the search goroutine, and on resume the transcript replay advances
-	// it identically, so re-executed windows re-emit identical events.
+	// recorded as one event keyed (session, window, step, config).
 	rec       obs.Recorder
 	sessionID uint64
-	fed       uint64
 
-	// history records every window measurement handed to the search, in
+	// history records every window measurement fed to the search, in
 	// order — the externally visible transcript of the search's state
-	// machine. Because the heuristic is a deterministic function of its
-	// measurement sequence, replaying history reconstructs the search
-	// exactly; Snapshot/ResumeOnline (session.go) build on this.
+	// machine and the window coordinate its events carry. Because the
+	// heuristic is a deterministic function of its measurement sequence,
+	// replaying history reconstructs the search exactly; Snapshot and
+	// ResumeOnline (session.go) build on this.
 	history []EvalResult
 
 	// maxBytes and start define the constrained space the session searches:
@@ -74,77 +72,69 @@ type Online struct {
 // counter widths. nil is a perfect readout.
 type Meter func(cfg cache.Config, st cache.Stats) cache.Stats
 
-// NewOnline starts a tuning session on c. window is the number of accesses
-// each configuration is measured over (the hardware's measurement
-// interval). The search begins at the smallest configuration.
-func NewOnline(c *cache.Configurable, p *energy.Params, window uint64) *Online {
-	return NewOnlineMetered(c, p, window, nil)
+// OnlineOptions configures a tuning session. Only Window is required.
+type OnlineOptions struct {
+	// Window is the number of accesses each configuration is measured over
+	// (the hardware's measurement interval).
+	Window uint64
+	// Meter is the counter-readout seam (nil = perfect readout). Implausible
+	// window readings (by Plausible) are re-measured over the next window;
+	// if the second window is implausible too the session abandons tuning
+	// and settles the cache on SafeConfig, with Result marked Degraded.
+	// Accesses keep being served normally throughout — a broken counter
+	// never takes the cache down.
+	Meter Meter
+	// Rec records every heuristic step as a "tuner.step" event carrying
+	// Session, the measurement-window ordinal, the step ordinal and the
+	// configuration — the search trajectory as data. Recording is strictly
+	// observational; a nil recorder behaves bit-identically.
+	Rec     obs.Recorder
+	Session uint64
+	// MaxBytes restricts the search to configurations of at most this many
+	// bytes (0 = unconstrained, see Space.Constrain). Start, when non-zero,
+	// is where the walk begins instead of the smallest configuration — the
+	// warm re-search a fleet reallocation triggers; it is clamped into the
+	// budget (ClampToBudget) and applied before the first window.
+	MaxBytes int
+	Start    cache.Config
 }
 
-// NewOnlineMetered is NewOnline with a counter-readout meter. Implausible
-// window readings (by Plausible) are re-measured over the next window; if
-// the second window is implausible too the session abandons tuning and
-// settles the cache on SafeConfig, with the session's Result marked
-// Degraded. Accesses keep being served normally throughout — a broken
-// counter never takes the cache down.
-func NewOnlineMetered(c *cache.Configurable, p *energy.Params, window uint64, meter Meter) *Online {
-	return NewOnlineObserved(c, p, window, meter, nil, 0)
-}
-
-// NewOnlineObserved is NewOnlineMetered with telemetry: every heuristic step
-// is recorded on rec as a "tuner.step" event carrying the session ordinal,
-// the measurement-window ordinal, the step ordinal and the configuration —
-// the search trajectory as data. Recording is strictly observational; a nil
-// (or disabled) recorder session behaves bit-identically to an observed one.
-func NewOnlineObserved(c *cache.Configurable, p *energy.Params, window uint64, meter Meter, rec obs.Recorder, session uint64) *Online {
-	return NewOnlineConstrained(c, p, window, meter, rec, session, 0, cache.Config{})
-}
-
-// NewOnlineConstrained is NewOnlineObserved with a capacity budget: the
-// search walks the paper's space restricted to configurations of at most
-// maxBytes (0 = unconstrained, see Space.Constrain), starting from start
-// instead of the smallest configuration when start is non-zero — the warm
-// re-search a fleet reallocation triggers. start must be a valid
-// configuration within the budget (ClampToBudget produces one); the live
-// cache is reconfigured to it before the first measurement window.
-func NewOnlineConstrained(c *cache.Configurable, p *energy.Params, window uint64, meter Meter, rec obs.Recorder, session uint64, maxBytes int, start cache.Config) *Online {
-	o := &Online{
-		cache:     c,
-		params:    p,
-		window:    window,
-		meter:     meter,
-		rec:       obs.OrNop(rec),
-		sessionID: session,
-		// A quarter-window warmup after each reconfiguration keeps the
-		// transition transient (blocks stranded by the remapping
-		// re-missing once) out of the measurement, which would
-		// otherwise bias the sweep against growth steps.
-		warmup:   window / 4,
-		req:      make(chan cache.Config),
-		resp:     make(chan EvalResult),
-		done:     make(chan SearchResult, 1),
-		quit:     make(chan struct{}),
-		maxBytes: maxBytes,
-		start:    start,
-	}
-	// The search logic runs in its own goroutine; Evaluate blocks until
-	// the measurement window completes. This reuses the exact heuristic
-	// implementation for the online hardware behaviour.
+// NewOnline starts a tuning session on c.
+func NewOnline(c *cache.Configurable, p *energy.Params, opts OnlineOptions) *Online {
+	o := newOnline(c, p, opts)
 	o.beginSearchSpan()
-	o.startSearch(EvaluatorFunc(o.liveEvaluate))
+	o.search = newSearch(PaperOrder, o.searchSpace(), o.traceStep)
 	o.advance()
 	return o
 }
 
+// newOnline builds a session with no search attached.
+func newOnline(c *cache.Configurable, p *energy.Params, opts OnlineOptions) *Online {
+	return &Online{
+		cache:     c,
+		params:    p,
+		window:    opts.Window,
+		meter:     opts.Meter,
+		rec:       obs.OrNop(opts.Rec),
+		sessionID: opts.Session,
+		// A quarter-window warmup after each reconfiguration keeps the
+		// transition transient (blocks stranded by the remapping
+		// re-missing once) out of the measurement, which would
+		// otherwise bias the sweep against growth steps.
+		warmup:   opts.Window / 4,
+		maxBytes: opts.MaxBytes,
+		start:    opts.Start,
+	}
+}
+
 // beginSearchSpan opens the session's "tuner.search" span. It must run
-// before the search goroutine can emit its first "tuner.step" (i.e. before
-// startSearch for a fresh session, and before the transcript replay for a
-// resumed one) so the begin event always precedes the steps it encloses.
+// before the search emits its first "tuner.step" (i.e. before the first
+// window of a fresh session, and before the transcript replay of a resumed
+// one) so the begin event always precedes the steps it encloses.
 func (o *Online) beginSearchSpan() {
 	o.searchSpan = obs.BeginSpan(o.rec, nil, obs.Event{
 		Name:    "tuner.search",
 		Session: o.sessionID,
-		Window:  o.fed,
 		Fields:  []slog.Attr{slog.Int("budget_bytes", o.maxBytes)},
 	})
 }
@@ -162,46 +152,16 @@ func (o *Online) searchSpace() Space {
 // MaxBytes is the session's capacity budget, 0 when unconstrained.
 func (o *Online) MaxBytes() int { return o.maxBytes }
 
-// startSearch launches the search goroutine over eval. The evaluator is
-// wrapped to count measurements consumed (o.fed), which is the window
-// coordinate telemetry events carry; both the counter and the trace hook
-// run on the search goroutine only.
-func (o *Online) startSearch(eval Evaluator) {
-	counted := EvaluatorFunc(func(cfg cache.Config) EvalResult {
-		r := eval.Evaluate(cfg)
-		o.fed++
-		return r
-	})
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSession); ok {
-					return // Abort unwound the search
-				}
-				panic(r)
-			}
-		}()
-		res := SearchTraced(counted, PaperOrder, o.searchSpace(), o.traceStep)
-		o.done <- res
-		close(o.req)
-	}()
-}
-
-// traceStep records one heuristic decision. It runs on the search goroutine,
-// strictly between receiving a measurement and requesting the next one, so
-// it is ordered with (and never races) the access loop.
+// traceStep records one heuristic decision. The search calls it from Feed,
+// after the window that produced the reading was appended to history.
 func (o *Online) traceStep(st SearchStep) {
 	if !o.rec.Enabled() {
 		return
 	}
-	win := o.fed
-	if win > 0 {
-		win-- // the window that produced this measurement
-	}
 	o.rec.Record(obs.Event{
 		Name:    "tuner.step",
 		Session: o.sessionID,
-		Window:  win,
+		Window:  uint64(len(o.history)) - 1, // the window that produced this reading
 		Step:    uint64(st.Step),
 		Config:  st.Cfg.String(),
 		Fields: []slog.Attr{
@@ -214,52 +174,38 @@ func (o *Online) traceStep(st SearchStep) {
 	})
 }
 
-// liveEvaluate is the search side of the window rendezvous: request a
-// configuration, block until Access completes a measurement window over it.
-func (o *Online) liveEvaluate(cfg cache.Config) EvalResult {
-	select {
-	case o.req <- cfg:
-	case <-o.quit:
-		panic(abortSession{})
+// advance applies the search's next requested configuration and opens its
+// measurement window, or settles the session.
+func (o *Online) advance() {
+	cfg, done := o.search.Next()
+	if done {
+		o.finish(o.search.Result())
+		return
 	}
-	select {
-	case r := <-o.resp:
-		return r
-	case <-o.quit:
-		panic(abortSession{})
-	}
+	o.arm(cfg)
 }
 
-// advance applies the search's next requested configuration, or completes.
-func (o *Online) advance() {
-	select {
-	case res := <-o.done:
-		o.finish(res)
-	case cfg, ok := <-o.req:
-		if !ok {
-			// The search goroutine closed req after publishing its
-			// result; the select may observe the close first.
-			o.finish(<-o.done)
-			return
-		}
-		o.apply(cfg)
-		o.cache.ResetStats()
-		o.count = 0
-		o.warmupLeft = o.warmup
-		o.pending = true
-	}
+// arm applies cfg and opens a measurement window over it, warmup first.
+func (o *Online) arm(cfg cache.Config) {
+	o.apply(cfg)
+	o.cache.ResetStats()
+	o.count = 0
+	o.warmupLeft = o.warmup
+	o.pending = true
 }
 
 func (o *Online) finish(res SearchResult) {
 	o.result = res
 	o.finished = true
+	o.search = nil
 	o.apply(res.Best.Cfg)
+	windows := uint64(len(o.history))
 	// Close the search span first: its end (work units, not wall-clock)
 	// precedes the settle decision it explains.
 	o.searchSpan.End(
 		slog.Uint64("work", uint64(res.NumExamined())),
 		slog.String("unit", "configs"),
-		slog.Uint64("windows", o.fed))
+		slog.Uint64("windows", windows))
 	if o.rec.Enabled() {
 		fields := []slog.Attr{
 			slog.Float64("energy", res.Best.Energy),
@@ -273,7 +219,7 @@ func (o *Online) finish(res SearchResult) {
 		o.rec.Record(obs.Event{
 			Name:    "tuner.settle",
 			Session: o.sessionID,
-			Window:  o.fed,
+			Window:  windows,
 			Step:    uint64(res.NumExamined()),
 			Config:  res.Best.Cfg.String(),
 			Fields:  fields,
@@ -295,32 +241,20 @@ func (o *Online) apply(cfg cache.Config) {
 	o.settleWB += o.cache.Stats().SettleWritebacks - before
 }
 
-// abortSession unwinds the search goroutine when Abort is called.
-type abortSession struct{}
-
-// Abort ends an unfinished session: the search goroutine unwinds, the cache
-// keeps its current configuration, and subsequent Access calls behave as a
-// plain cache. Harmless after completion.
+// Abort ends an unfinished session: the cache keeps its current
+// configuration, and subsequent Access calls behave as a plain cache.
+// Harmless after completion and when repeated.
 func (o *Online) Abort() {
 	if o.finished || o.aborted {
 		return
 	}
 	o.aborted = true
 	o.pending = false
-	close(o.quit)
+	o.search = nil
 }
 
 // Aborted reports whether the session was cancelled.
 func (o *Online) Aborted() bool { return o.aborted }
-
-// Close ends the session (see Abort) and releases the search goroutine. It
-// is safe to call any number of times, before or after the search settles,
-// and never returns an error; it exists so daemons can manage a session with
-// the usual io.Closer discipline.
-func (o *Online) Close() error {
-	o.Abort()
-	return nil
-}
 
 // CompletedWindows is the number of measurement windows fed to the search so
 // far (each examined configuration costs one window; re-measures after an
@@ -355,7 +289,7 @@ func (o *Online) Access(addr uint32, write bool) cache.AccessResult {
 			b := o.params.Evaluate(cfg, st)
 			r := EvalResult{Cfg: cfg, Energy: b.Total(), Breakdown: b, Stats: st}
 			o.history = append(o.history, r)
-			o.resp <- r
+			o.search.Feed(r)
 			o.advance()
 		}
 	}

@@ -29,7 +29,7 @@ func TestOnlineSettleWritebackAccounting(t *testing.T) {
 				mirror.AllowShrink = false
 			}
 		}
-		o := NewOnline(c, energy.DefaultParams(), 4000)
+		o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000})
 		sync() // the session may reconfigure at construction
 		src := trace.OnlyData(prof.NewSource())
 		for i := 0; i < 500_000 && !o.Done(); i++ {
@@ -53,7 +53,7 @@ func TestOnlineSettleWritebackAccounting(t *testing.T) {
 func TestOnlineAbortSettleWritebacksStopAccumulating(t *testing.T) {
 	prof, _ := workload.ByName("blit")
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := NewOnline(c, energy.DefaultParams(), 4000)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000})
 	src := trace.OnlyData(prof.NewSource())
 	for i := 0; i < 9000; i++ {
 		a, _ := src.Next()
@@ -88,7 +88,7 @@ func TestOnlineDegradesMidSession(t *testing.T) {
 		}
 		return cache.Stats{}
 	}
-	o := NewOnlineMetered(c, energy.DefaultParams(), 4000, wedgeLater)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000, Meter: wedgeLater})
 	if o.Degraded() {
 		t.Fatal("Degraded reported before the session finished")
 	}
@@ -112,42 +112,38 @@ func TestOnlineDegradesMidSession(t *testing.T) {
 	}
 }
 
-// TestOnlineDoubleClose pins Close's io.Closer discipline: any number of
-// calls, before or after the search settles, return nil and leave the
-// session in a consistent state.
-func TestOnlineDoubleClose(t *testing.T) {
-	// Mid-session: the first Close aborts, the rest are no-ops.
+// TestOnlineDoubleAbort pins Abort's idempotence: any number of calls,
+// before or after the search settles, leave the session in a consistent
+// state.
+func TestOnlineDoubleAbort(t *testing.T) {
+	// Mid-session: the first Abort aborts, the rest are no-ops.
 	prof, _ := workload.ByName("fir")
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := NewOnline(c, energy.DefaultParams(), 5000)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 5000})
 	src := trace.OnlyData(prof.NewSource())
 	for i := 0; i < 7000 && !o.Done(); i++ {
 		a, _ := src.Next()
 		o.Access(a.Addr, a.IsWrite())
 	}
 	for i := 0; i < 3; i++ {
-		if err := o.Close(); err != nil {
-			t.Fatalf("Close #%d = %v", i+1, err)
-		}
+		o.Abort()
 	}
 	if !o.Done() && !o.Aborted() {
-		t.Error("mid-session Close neither settled nor aborted the session")
+		t.Error("mid-session Abort neither settled nor aborted the session")
 	}
 
-	// Post-settle: Close must not retroactively mark the session aborted.
+	// Post-settle: Abort must not retroactively mark the session aborted.
 	done, _ := runOnline(t, "crc", 4000, 500_000)
 	if !done.Done() {
 		t.Fatal("session did not settle")
 	}
 	for i := 0; i < 3; i++ {
-		if err := done.Close(); err != nil {
-			t.Fatalf("post-settle Close #%d = %v", i+1, err)
-		}
+		done.Abort()
 	}
 	if done.Aborted() {
-		t.Error("Close after settling marked the session aborted")
+		t.Error("Abort after settling marked the session aborted")
 	}
 	if !done.Done() {
-		t.Error("Close after settling un-finished the session")
+		t.Error("Abort after settling un-finished the session")
 	}
 }

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"runtime"
 	"testing"
 
 	"selftune/internal/cache"
@@ -16,7 +17,7 @@ func runOnline(t *testing.T, name string, window uint64, budget int) (*Online, *
 		t.Fatalf("no profile %q", name)
 	}
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := NewOnline(c, energy.DefaultParams(), window)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: window})
 	src := trace.OnlyData(prof.NewSource())
 	for i := 0; i < budget && !o.Done(); i++ {
 		a, _ := src.Next()
@@ -55,7 +56,7 @@ func TestOnlineNeverFullFlushes(t *testing.T) {
 func TestOnlineInstructionStreamNeedsNoWritebacks(t *testing.T) {
 	prof, _ := workload.ByName("g721")
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := NewOnline(c, energy.DefaultParams(), 4000)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000})
 	src := trace.OnlyInst(prof.NewSource())
 	for i := 0; i < 500_000 && !o.Done(); i++ {
 		a, _ := src.Next()
@@ -84,7 +85,7 @@ func TestOnlineChoiceIsNearOfflineQuality(t *testing.T) {
 		offline := SearchPaper(ev)
 
 		c := cache.MustConfigurable(cache.MinConfig())
-		o := NewOnline(c, p, 10_000)
+		o := NewOnline(c, p, OnlineOptions{Window: 10_000})
 		for _, a := range data {
 			if o.Done() {
 				break
@@ -121,7 +122,7 @@ func TestOnlineReconfigurationCountMatchesExamined(t *testing.T) {
 func TestOnlineAbort(t *testing.T) {
 	prof, _ := workload.ByName("fir")
 	c := cache.MustConfigurable(cache.MinConfig())
-	o := NewOnline(c, energy.DefaultParams(), 5000)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 5000})
 	src := trace.OnlyData(prof.NewSource())
 	for i := 0; i < 7000; i++ { // mid-session
 		a, _ := src.Next()
@@ -144,4 +145,26 @@ func TestOnlineAbort(t *testing.T) {
 		t.Error("configuration changed after abort")
 	}
 	o.Abort() // idempotent
+}
+
+// TestOnlineSpawnsNoGoroutines pins that a session is a plain value: creating
+// many sessions mid-search and dropping them without Abort leaves no
+// goroutine behind.
+func TestOnlineSpawnsNoGoroutines(t *testing.T) {
+	accs := dataStream(t, "crc", 20_000)[:3_000]
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		o := NewOnline(cache.MustConfigurable(cache.MinConfig()), energy.DefaultParams(), OnlineOptions{Window: 1_000})
+		for _, a := range accs {
+			o.Access(a.Addr, a.IsWrite())
+		}
+		if o.Done() || o.CompletedWindows() == 0 {
+			t.Fatalf("session %d is not mid-search (%d windows, done %v)", i, o.CompletedWindows(), o.Done())
+		}
+	}
+	// Only growth counts: a goroutine an earlier test left exiting may
+	// finish meanwhile, while 100 leaked sessions would add 100.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("100 dropped sessions raised the goroutine count from %d to %d", before, after)
+	}
 }

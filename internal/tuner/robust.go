@@ -68,9 +68,9 @@ func Plausible(r EvalResult) error {
 
 // Remeasurer is implemented by evaluators that can produce a genuinely
 // fresh second reading of a configuration (bypassing any memoisation). The
-// search uses it for the re-measure step; evaluators without it are simply
-// evaluated again, which for the online tuner naturally measures the next
-// window.
+// offline search uses it for the re-measure step; evaluators without it are
+// simply evaluated again. The online tuner needs neither: its re-measure is
+// the next window.
 type Remeasurer interface {
 	Remeasure(cfg cache.Config) EvalResult
 }
@@ -82,7 +82,3 @@ func remeasure(eval Evaluator, cfg cache.Config) EvalResult {
 	}
 	return eval.Evaluate(cfg)
 }
-
-// searchFault unwinds a search whose readings stayed implausible after the
-// re-measure; SearchInSpace recovers it into a Degraded result.
-type searchFault struct{ err error }

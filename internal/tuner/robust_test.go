@@ -70,7 +70,7 @@ func TestOnlineDegradesGracefullyUnderStuckCounters(t *testing.T) {
 	prof, _ := workload.ByName("crc")
 	c := cache.MustConfigurable(cache.MinConfig())
 	stuck := func(cache.Config, cache.Stats) cache.Stats { return cache.Stats{} }
-	o := NewOnlineMetered(c, energy.DefaultParams(), 5000, stuck)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 5000, Meter: stuck})
 	src := trace.OnlyData(prof.NewSource())
 	for i := 0; i < 200_000 && !o.Done(); i++ {
 		a, _ := src.Next()
@@ -116,7 +116,7 @@ func TestOnlineMeterTransientFaultRemeasures(t *testing.T) {
 		}
 		return st
 	}
-	o := NewOnlineMetered(c, energy.DefaultParams(), 5000, glitchOnce)
+	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 5000, Meter: glitchOnce})
 	src := trace.OnlyData(prof.NewSource())
 	for i := 0; i < 500_000 && !o.Done(); i++ {
 		a, _ := src.Next()
@@ -139,7 +139,7 @@ func TestOnlineIdentityMeterChangesNothing(t *testing.T) {
 	run := func(meter Meter) SearchResult {
 		prof, _ := workload.ByName("adpcm")
 		c := cache.MustConfigurable(cache.MinConfig())
-		o := NewOnlineMetered(c, energy.DefaultParams(), 4000, meter)
+		o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000, Meter: meter})
 		src := trace.OnlyData(prof.NewSource())
 		for i := 0; i < 500_000 && !o.Done(); i++ {
 			a, _ := src.Next()

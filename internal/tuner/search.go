@@ -47,7 +47,7 @@ var AlternativeOrder = []Param{ParamLine, ParamAssoc, ParamPred, ParamSize}
 
 // SearchResult records a completed search.
 type SearchResult struct {
-	// Best is the selected configuration.
+	// Best is the chosen configuration.
 	Best EvalResult
 	// Examined lists every configuration measured, in order. Its length
 	// is the paper's "No." column (configurations examined).
@@ -125,17 +125,126 @@ type SearchStep struct {
 	Stop bool
 }
 
-// search drives one sweep-per-parameter hill climb.
+// search is the Figure 6 heuristic as a pull-based state machine, the
+// software twin of the FSMD of §3.5: Next names the configuration the next
+// measurement must cover, Feed hands it the reading, and the machine advances
+// one state per reading. The offline search drives it with replays, the online
+// tuner with live measurement windows, and resume with a recorded transcript;
+// because the machine is a deterministic function of its readings, all three
+// walk the identical trajectory.
+//
+// A reading that fails Plausible is not consumed: the machine requests the
+// same configuration again (the re-measure state). If the second reading is
+// implausible too, the machine degrades — it stops, reporting SafeConfig as
+// Best with the fault recorded. Only plausible readings are recorded and may
+// steer the search.
 type search struct {
-	eval  Evaluator
 	space Space
-	res   SearchResult
-	cur   cache.Config
-	best  EvalResult
-	seen  map[cache.Config]bool
+	order []Param
 	trace func(SearchStep)
+
+	res   SearchResult
+	seen  map[cache.Config]bool
 	steps int
+
+	// phase indexes order; -1 is the initial measurement. cands are the
+	// current sweep's candidates and next indexes the one requested. best
+	// is the incumbent: a sweep keeps a candidate only if it strictly beats
+	// it, so the sweep's best is also the search's.
+	phase int
+	cands []cache.Config
+	next  int
+	best  EvalResult
+
+	remeasure bool // the pending request repeats a rejected reading
+	done      bool
 }
+
+// newSearch starts a machine at the space's starting configuration. trace
+// (may be nil) receives one SearchStep per accepted reading; it observes
+// only and cannot steer the search.
+func newSearch(order []Param, space Space, trace func(SearchStep)) *search {
+	return &search{space: space, order: order, trace: trace, seen: map[cache.Config]bool{}, phase: -1}
+}
+
+// Next returns the configuration the next reading must measure, or done once
+// the search has settled (see Result).
+func (s *search) Next() (cfg cache.Config, done bool) {
+	switch {
+	case s.done:
+		return cache.Config{}, true
+	case s.phase < 0:
+		return s.space.Start, false
+	default:
+		return s.cands[s.next], false
+	}
+}
+
+// Feed hands the machine the reading of the configuration Next requested.
+func (s *search) Feed(r EvalResult) {
+	if err := Plausible(r); err != nil {
+		if !s.remeasure {
+			s.remeasure = true
+			return
+		}
+		s.degrade(err)
+		return
+	}
+	rm := s.remeasure
+	s.remeasure = false
+	if !s.seen[r.Cfg] {
+		s.seen[r.Cfg] = true
+		s.res.Examined = append(s.res.Examined, r)
+	}
+	if s.phase < 0 {
+		s.emit(SearchStep{Phase: ParamInitial, Cfg: r.Cfg, Energy: r.Energy, Remeasured: rm})
+		s.best = r
+		s.openSweep(0)
+		return
+	}
+	improved := r.Energy < s.best.Energy
+	s.emit(SearchStep{Phase: s.order[s.phase], Cfg: r.Cfg, Energy: r.Energy,
+		Remeasured: rm, Improved: improved, Stop: !improved})
+	if improved {
+		s.best = r
+		if s.next++; s.next < len(s.cands) {
+			return
+		}
+	}
+	s.openSweep(s.phase + 1)
+}
+
+// openSweep opens the first sweep from phase on that has a candidate above
+// the incumbent, or completes the search.
+func (s *search) openSweep(phase int) {
+	for ; phase < len(s.order); phase++ {
+		if s.cands = s.candidates(s.order[phase], s.best.Cfg); len(s.cands) > 0 {
+			s.phase, s.next = phase, 0
+			return
+		}
+	}
+	s.res.Best = s.best
+	s.done = true
+}
+
+// degrade abandons the search after a reading stayed implausible on its
+// re-measure, keeping the plausible measurements made so far.
+func (s *search) degrade(err error) {
+	s.res.Degraded = true
+	s.res.Fault = err
+	s.res.Best = EvalResult{Cfg: SafeConfig()}
+	for _, r := range s.res.Examined {
+		// Reuse a plausible measurement of the fallback if the search
+		// happened to make one.
+		if r.Cfg == s.res.Best.Cfg {
+			s.res.Best = r
+		}
+	}
+	s.done = true
+}
+
+// Result is the completed search (meaningful once Next reports done).
+func (s *search) Result() SearchResult { return s.res }
 
 // emit hands one decision to the trace hook and advances the step ordinal.
 func (s *search) emit(st SearchStep) {
@@ -144,31 +253,6 @@ func (s *search) emit(st SearchStep) {
 	if s.trace != nil {
 		s.trace(st)
 	}
-}
-
-// measure evaluates cfg (once), records it, and updates the incumbent.
-// A reading that fails the plausibility check is re-measured once (the
-// second return reports that happened); if the second reading is implausible
-// too, the search unwinds into graceful degradation (see SearchInSpace).
-// Only plausible readings are recorded and may steer the search.
-func (s *search) measure(cfg cache.Config) (EvalResult, bool) {
-	r := s.eval.Evaluate(cfg)
-	remeasured := false
-	if err := Plausible(r); err != nil {
-		remeasured = true
-		r = remeasure(s.eval, cfg)
-		if err = Plausible(r); err != nil {
-			panic(searchFault{err})
-		}
-	}
-	if !s.seen[cfg] {
-		s.seen[cfg] = true
-		s.res.Examined = append(s.res.Examined, r)
-	}
-	if s.best.Cfg == (cache.Config{}) || r.Energy < s.best.Energy {
-		s.best = r
-	}
-	return r, remeasured
 }
 
 // Search runs the heuristic with the given parameter order in the paper's
@@ -197,71 +281,35 @@ func SearchInSpace(eval Evaluator, order []Param, space Space) SearchResult {
 // receives one SearchStep per measurement, as the heuristic makes each
 // decision. The hook observes only — it cannot steer the search — so a
 // traced search returns bit-identical results to an untraced one.
-func SearchTraced(eval Evaluator, order []Param, space Space, trace func(SearchStep)) (res SearchResult) {
-	s := &search{eval: eval, space: space, cur: space.Start, seen: map[cache.Config]bool{}, trace: trace}
-	defer func() {
-		if p := recover(); p != nil {
-			f, ok := p.(searchFault)
-			if !ok {
-				panic(p)
-			}
-			res = s.res
-			res.Degraded = true
-			res.Fault = f.err
-			res.Best = EvalResult{Cfg: SafeConfig()}
-			for _, r := range res.Examined {
-				// Reuse a plausible measurement of the fallback if the
-				// search happened to make one.
-				if r.Cfg == res.Best.Cfg {
-					res.Best = r
-				}
-			}
+func SearchTraced(eval Evaluator, order []Param, space Space, trace func(SearchStep)) SearchResult {
+	s := newSearch(order, space, trace)
+	for {
+		cfg, done := s.Next()
+		if done {
+			return s.Result()
 		}
-	}()
-	prev, rm := s.measure(s.cur)
-	s.emit(SearchStep{Phase: ParamInitial, Cfg: prev.Cfg, Energy: prev.Energy, Remeasured: rm})
-	for _, p := range order {
-		prev = s.sweep(p, prev)
+		if s.remeasure {
+			s.Feed(remeasure(eval, cfg))
+		} else {
+			s.Feed(eval.Evaluate(cfg))
+		}
 	}
-	s.res.Best = s.best
-	return s.res
 }
 
 // SearchPaper runs the paper's heuristic ordering.
 func SearchPaper(eval Evaluator) SearchResult { return Search(eval, PaperOrder) }
 
-// sweep walks one parameter upward from its current value, keeping the best
-// value seen and stopping at the first configuration that fails to improve.
-// prev is the measurement of the current configuration; the returned value
-// measures the configuration the search settles on.
-func (s *search) sweep(p Param, prev EvalResult) EvalResult {
-	bestLocal := prev
-	for _, cfg := range s.candidates(p) {
-		r, rm := s.measure(cfg)
-		improved := r.Energy < bestLocal.Energy
-		s.emit(SearchStep{Phase: p, Cfg: r.Cfg, Energy: r.Energy,
-			Remeasured: rm, Improved: improved, Stop: !improved})
-		if improved {
-			bestLocal = r
-		} else {
-			break
-		}
-	}
-	s.cur = bestLocal.Cfg
-	return bestLocal
-}
-
-// candidates lists the next values of parameter p above the current
-// configuration, skipping unrealisable combinations.
-func (s *search) candidates(p Param) []cache.Config {
+// candidates lists the next values of parameter p above cur, skipping
+// unrealisable combinations.
+func (s *search) candidates(p Param, cur cache.Config) []cache.Config {
 	var out []cache.Config
 	switch p {
 	case ParamSize:
 		for _, size := range s.space.Sizes {
-			if size <= s.cur.SizeBytes {
+			if size <= cur.SizeBytes {
 				continue
 			}
-			c := s.cur
+			c := cur
 			c.SizeBytes = size
 			if s.space.Valid(c) {
 				out = append(out, c)
@@ -269,10 +317,10 @@ func (s *search) candidates(p Param) []cache.Config {
 		}
 	case ParamLine:
 		for _, line := range s.space.Lines {
-			if line <= s.cur.LineBytes {
+			if line <= cur.LineBytes {
 				continue
 			}
-			c := s.cur
+			c := cur
 			c.LineBytes = line
 			if s.space.Valid(c) {
 				out = append(out, c)
@@ -280,18 +328,18 @@ func (s *search) candidates(p Param) []cache.Config {
 		}
 	case ParamAssoc:
 		for _, ways := range s.space.Assocs {
-			if ways <= s.cur.Ways {
+			if ways <= cur.Ways {
 				continue
 			}
-			c := s.cur
+			c := cur
 			c.Ways = ways
 			if s.space.Valid(c) {
 				out = append(out, c)
 			}
 		}
 	case ParamPred:
-		if s.cur.Ways > 1 && !s.cur.WayPredict {
-			c := s.cur
+		if cur.Ways > 1 && !cur.WayPredict {
+			c := cur
 			c.WayPredict = true
 			if s.space.Valid(c) {
 				out = append(out, c)

@@ -76,46 +76,95 @@ func sameResult(t *testing.T, label string, a, b SearchResult) {
 // TestSessionResumeEquivalence is the heart of crash safety: a session
 // snapshotted at any window boundary and resumed on a cache restored from
 // the matching image settles on the bit-identical configuration, energy and
-// examined sequence as the uninterrupted session.
+// examined sequence as the uninterrupted session — including across the
+// search's re-measure and degrade states. Each meter is a pure function of
+// configuration and counters, so the resumed life reads what the first life
+// would have.
 func TestSessionResumeEquivalence(t *testing.T) {
 	const window = 4000
 	p := energy.DefaultParams()
 	accs := dataStream(t, "crc", 900_000)
-
-	// Uninterrupted baseline.
-	base := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, window)
-	runToSettle(t, base, accs)
-	baseWB := base.SettleWritebacks()
-
-	// Kill after the first window, mid-search, and just before settling.
-	n := base.CompletedWindows()
-	if n < 3 {
-		t.Fatalf("baseline search examined only %d windows; too short to interrupt", n)
+	run := func(meter Meter) *Online {
+		o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, OnlineOptions{Window: window, Meter: meter})
+		runToSettle(t, o, accs)
+		return o
 	}
-	for _, k := range []uint64{1, n / 2, n - 1} {
-		o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, window)
-		st, img, pos := snapshotAt(t, o, accs, k)
-		o.Abort() // the "killed" process
 
-		restored, err := cache.RestoreConfigurable(img)
-		if err != nil {
-			t.Fatalf("k=%d: restore cache: %v", k, err)
-		}
-		r, err := ResumeOnline(restored, p, st, nil)
-		if err != nil {
-			t.Fatalf("k=%d: ResumeOnline: %v", k, err)
-		}
-		if r.CompletedWindows() != k {
-			t.Fatalf("k=%d: resumed session reports %d completed windows", k, r.CompletedWindows())
-		}
-		runToSettle(t, r, accs[pos:])
-		sameResult(t, "resumed", base.Result(), r.Result())
-		if r.Cache().Config() != base.Result().Best.Cfg {
-			t.Errorf("k=%d: resumed cache settled on %v, want %v", k, r.Cache().Config(), base.Result().Best.Cfg)
-		}
-		if r.SettleWritebacks() != baseWB {
-			t.Errorf("k=%d: settle writebacks %d, want %d", k, r.SettleWritebacks(), baseWB)
-		}
+	// The faulty meters target windows of the clean run: one glitches the
+	// second window's exact reading (its re-measure reads differently and
+	// passes), the other wedges the third window's configuration for good.
+	clean := run(nil).history
+	glitch, wedge := clean[1], clean[2].Cfg
+	cases := []struct {
+		name  string
+		meter Meter
+		// extra is how many windows the session spends beyond one per
+		// examined configuration: re-measures and the degrading pair.
+		extra    uint64
+		degraded bool
+	}{
+		{"clean", nil, 0, false},
+		{"remeasure", func(cfg cache.Config, st cache.Stats) cache.Stats {
+			if cfg == glitch.Cfg && st == glitch.Stats {
+				return cache.Stats{}
+			}
+			return st
+		}, 1, false},
+		{"degrade", func(cfg cache.Config, st cache.Stats) cache.Stats {
+			if cfg == wedge {
+				return cache.Stats{}
+			}
+			return st
+		}, 2, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Uninterrupted baseline.
+			base := run(tc.meter)
+			baseWB := base.SettleWritebacks()
+			n := base.CompletedWindows()
+			if extra := n - uint64(base.Result().NumExamined()); extra != tc.extra || base.Degraded() != tc.degraded {
+				t.Fatalf("baseline spent %d extra windows (degraded %v), want %d (degraded %v)", extra, base.Degraded(), tc.extra, tc.degraded)
+			}
+			if n < 3 {
+				t.Fatalf("baseline search examined only %d windows; too short to interrupt", n)
+			}
+
+			// Kill at every boundary; -short keeps the first window,
+			// mid-search, and just before settling.
+			kills := []uint64{1, n / 2, n - 1}
+			if !testing.Short() {
+				kills = kills[:0]
+				for k := uint64(1); k < n; k++ {
+					kills = append(kills, k)
+				}
+			}
+			for _, k := range kills {
+				o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, OnlineOptions{Window: window, Meter: tc.meter})
+				st, img, pos := snapshotAt(t, o, accs, k)
+				o.Abort() // the "killed" process
+
+				restored, err := cache.RestoreConfigurable(img)
+				if err != nil {
+					t.Fatalf("k=%d: restore cache: %v", k, err)
+				}
+				r, err := ResumeOnline(restored, p, st, OnlineOptions{Meter: tc.meter})
+				if err != nil {
+					t.Fatalf("k=%d: ResumeOnline: %v", k, err)
+				}
+				if r.CompletedWindows() != k {
+					t.Fatalf("k=%d: resumed session reports %d completed windows", k, r.CompletedWindows())
+				}
+				runToSettle(t, r, accs[pos:])
+				sameResult(t, "resumed", base.Result(), r.Result())
+				if r.Cache().Config() != base.Result().Best.Cfg {
+					t.Errorf("k=%d: resumed cache settled on %v, want %v", k, r.Cache().Config(), base.Result().Best.Cfg)
+				}
+				if r.SettleWritebacks() != baseWB {
+					t.Errorf("k=%d: settle writebacks %d, want %d", k, r.SettleWritebacks(), baseWB)
+				}
+			}
+		})
 	}
 }
 
@@ -125,10 +174,10 @@ func TestSessionResumeFresh(t *testing.T) {
 	p := energy.DefaultParams()
 	accs := dataStream(t, "bcnt", 900_000)
 
-	base := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, 4000)
+	base := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, OnlineOptions{Window: 4000})
 	runToSettle(t, base, accs)
 
-	o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, 4000)
+	o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, OnlineOptions{Window: 4000})
 	st, err := o.Snapshot() // before any access
 	if err != nil {
 		t.Fatalf("Snapshot before first access: %v", err)
@@ -142,7 +191,7 @@ func TestSessionResumeFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ResumeOnline(restored, p, st, nil)
+	r, err := ResumeOnline(restored, p, st, OnlineOptions{})
 	if err != nil {
 		t.Fatalf("ResumeOnline: %v", err)
 	}
@@ -155,7 +204,7 @@ func TestSessionResumeFresh(t *testing.T) {
 func TestSessionResumeFinished(t *testing.T) {
 	p := energy.DefaultParams()
 	accs := dataStream(t, "fir", 900_000)
-	o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, 4000)
+	o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, OnlineOptions{Window: 4000})
 	runToSettle(t, o, accs)
 
 	st, err := o.Snapshot()
@@ -173,7 +222,7 @@ func TestSessionResumeFinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ResumeOnline(restored, p, st, nil)
+	r, err := ResumeOnline(restored, p, st, OnlineOptions{})
 	if err != nil {
 		t.Fatalf("ResumeOnline: %v", err)
 	}
@@ -193,7 +242,7 @@ func TestSessionResumeFinished(t *testing.T) {
 func TestSnapshotRefusesMidWindow(t *testing.T) {
 	p := energy.DefaultParams()
 	accs := dataStream(t, "crc", 50_000)
-	o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, 4000)
+	o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, OnlineOptions{Window: 4000})
 	for _, a := range accs[:100] { // mid-warmup / mid-window
 		o.Access(a.Addr, a.IsWrite())
 	}
@@ -219,7 +268,7 @@ func TestSnapshotRefusesMidWindow(t *testing.T) {
 func TestResumeRejectsCorruptState(t *testing.T) {
 	p := energy.DefaultParams()
 	accs := dataStream(t, "crc", 900_000)
-	o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, 4000)
+	o := NewOnline(cache.MustConfigurable(cache.MinConfig()), p, OnlineOptions{Window: 4000})
 	st, img, _ := snapshotAt(t, o, accs, 3)
 	o.Abort()
 
@@ -236,27 +285,27 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 	bad := st
 	bad.History = append([]EvalResult(nil), st.History...)
 	bad.History[0].Cfg = cache.Config{SizeBytes: 8192, Ways: 4, LineBytes: 64}
-	if _, err := ResumeOnline(restore(), p, bad, nil); err == nil {
+	if _, err := ResumeOnline(restore(), p, bad, OnlineOptions{}); err == nil {
 		t.Error("resume accepted a diverged transcript")
 	}
 
 	// Cache/snapshot mismatch.
 	other := cache.MustConfigurable(cache.BaseConfig())
-	if _, err := ResumeOnline(other, p, st, nil); err == nil {
+	if _, err := ResumeOnline(other, p, st, OnlineOptions{}); err == nil {
 		t.Error("resume accepted a cache at the wrong configuration")
 	}
 
 	// Zero window.
 	zw := st
 	zw.Window = 0
-	if _, err := ResumeOnline(restore(), p, zw, nil); err == nil {
+	if _, err := ResumeOnline(restore(), p, zw, OnlineOptions{}); err == nil {
 		t.Error("resume accepted a zero window")
 	}
 
 	// Finished flag on a transcript that does not settle.
 	fin := st
 	fin.Finished = true
-	if _, err := ResumeOnline(restore(), p, fin, nil); err == nil {
+	if _, err := ResumeOnline(restore(), p, fin, OnlineOptions{}); err == nil {
 		t.Error("resume accepted finished=true with a mid-search transcript")
 	}
 }
