@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet bench bench-json check fuzz obs-smoke fleet-smoke chaos-smoke
+.PHONY: build test race race-stress vet bench bench-json check fuzz obs-smoke fleet-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Repeated race runs of the fleet, whose real-TCP tests are where timing
+# flakes surface first: a faster serving path shifts every close/ack race.
+race-stress:
+	$(GO) test -race -short -count=20 ./internal/fleet/...
 
 vet:
 	$(GO) vet ./...
@@ -47,6 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzFastSimVsReference -fuzztime=$(FUZZTIME) ./internal/fastsim/
 	$(GO) test -run='^$$' -fuzz=FuzzFusedVsReference -fuzztime=$(FUZZTIME) ./internal/fastsim/
+	$(GO) test -run='^$$' -fuzz=FuzzLiveKernelVsReference -fuzztime=$(FUZZTIME) ./internal/fastsim/
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzChaosnetFraming -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzSearchMachine -fuzztime=$(FUZZTIME) ./internal/tuner/

@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"selftune/internal/trace"
+)
 
 // frame is one 16 B physical line slot.
 type frame struct {
@@ -311,6 +315,26 @@ func (c *Configurable) SetConfig(next Config) error {
 	}
 	c.resetPredictor()
 	return nil
+}
+
+// Reconfigure is SetConfig with shrinking transitions permitted: the
+// tuner's transition, whose retreats and final settle may shrink and pay
+// the way-shutdown writebacks.
+func (c *Configurable) Reconfigure(next Config) error {
+	allow := c.AllowShrink
+	c.AllowShrink = true
+	err := c.SetConfig(next)
+	c.AllowShrink = allow
+	return err
+}
+
+// ReplayBatch performs a block of accesses, one Access each; only
+// trace.DataWrite stores. It gives the reference simulator the batch entry
+// point of the fast kernels so either can serve a tuning session.
+func (c *Configurable) ReplayBatch(accs []trace.Access) {
+	for i := range accs {
+		c.Access(accs[i].Addr, accs[i].Kind == trace.DataWrite)
+	}
 }
 
 // Flush writes back all dirty lines (counted as Writebacks) and invalidates

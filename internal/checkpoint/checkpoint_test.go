@@ -35,7 +35,7 @@ func liveState(t *testing.T, windows uint64) *State {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	img, err := o.Cache().Image()
+	img, err := o.Cache().(*cache.Configurable).Image()
 	if err != nil {
 		t.Fatalf("Image: %v", err)
 	}

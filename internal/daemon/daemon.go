@@ -202,17 +202,32 @@ func (d *Daemon) Step(addr uint32, write bool) error {
 // loop in Run needs to see boundaries).
 func (d *Daemon) step(addr uint32, write bool) (bool, error) {
 	boundary, err := d.sess.Step(addr, write)
+	return boundary, d.afterStep(boundary, err)
+}
+
+// StepBatch feeds a block of accesses and returns how many it consumed,
+// stopping at every window boundary exactly as Session.StepBatch does, so
+// the persist cadence and gauges see each boundary. Callers loop until accs
+// is consumed. The error is a persistence or snapshot failure.
+func (d *Daemon) StepBatch(accs []trace.Access) (n int, boundary bool, err error) {
+	n, boundary, err = d.sess.StepBatch(accs)
+	return n, boundary, d.afterStep(boundary, err)
+}
+
+// afterStep runs the persistence cadence after a step that reached a
+// boundary.
+func (d *Daemon) afterStep(boundary bool, err error) error {
 	if err != nil || !boundary {
-		return boundary, err
+		return err
 	}
 	d.boundaries++
 	if d.store != nil && d.boundaries >= d.opts.CheckpointEvery {
 		if err := d.persist(d.sess.Pending()); err != nil {
-			return true, err
+			return err
 		}
 	}
 	d.gauges()
-	return true, nil
+	return nil
 }
 
 // persist writes one snapshot and records the act. The "daemon.persist"
@@ -248,19 +263,31 @@ func (d *Daemon) Run(ctx context.Context, src trace.Source) error {
 			return fmt.Errorf("daemon: stream ends at %d accesses but the checkpoint consumed %d", d.sess.Consumed()-skip, d.sess.Consumed())
 		}
 	}
-	n := 0
+	// Accesses are stepped a block at a time; cancellation is checked
+	// between blocks, every 4096 accesses.
+	var buf [4096]trace.Access
 	for {
-		if n&0xfff == 0 && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return d.drain(ctx, src)
 		}
-		a, ok := src.Next()
-		if !ok {
+		n := 0
+		for ; n < len(buf); n++ {
+			a, ok := src.Next()
+			if !ok {
+				break
+			}
+			buf[n] = a
+		}
+		for accs := buf[:n]; len(accs) > 0; {
+			m, _, err := d.StepBatch(accs)
+			if err != nil {
+				return err
+			}
+			accs = accs[m:]
+		}
+		if n < len(buf) {
 			return d.Close()
 		}
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
-			return err
-		}
-		n++
 	}
 }
 

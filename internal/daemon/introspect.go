@@ -76,7 +76,15 @@ type Status struct {
 	Degraded      bool    `json:"degraded,omitempty"`
 	EventsDropped uint64  `json:"events_dropped,omitempty"`
 	Recovered     bool    `json:"recovered,omitempty"`
+	// Kernel is the cache implementation serving the stream; Build
+	// identifies the binary.
+	Kernel string    `json:"kernel"`
+	Build  obs.Build `json:"build"`
 }
+
+// ServingKernel names the cache implementation every Session serves
+// through, as /statusz reports it.
+const ServingKernel = "fastsim.Kernel"
 
 // statusCell is the mutex-guarded snapshot the HTTP handler reads; the
 // daemon's single-threaded loop writes it at boundaries.
@@ -113,6 +121,8 @@ func (d *Daemon) snapshotStatus() {
 		BaselineMiss:  s.baseline,
 		EventsDropped: s.eventsDropped,
 		Recovered:     s.recovered,
+		Kernel:        ServingKernel,
+		Build:         obs.ReadBuild(),
 	}
 	if s.settled != nil {
 		st.Degraded = s.settled.Degraded

@@ -7,11 +7,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"selftune/internal/cache"
 	"selftune/internal/checkpoint"
+	"selftune/internal/energy"
+	"selftune/internal/fastsim"
+	"selftune/internal/obs"
 	"selftune/internal/trace"
+	"selftune/internal/tuner"
 	"selftune/internal/workload"
 )
 
@@ -130,5 +136,179 @@ func TestSessionGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("session golden differs in length: got %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// sessionTrace is everything observable about one Session run: each
+// boundary's position and checkpoint bytes (hashed), the telemetry log, and
+// the final decision log, outcome and counters.
+type sessionTrace struct {
+	boundaries []string
+	log        string
+	final      string
+}
+
+// traceSession replays accs through a fresh Session with telemetry on. chunk
+// 0 steps one access at a time with Step; otherwise accs are offered to
+// StepBatch in blocks of chunk accesses, each block looped until consumed.
+func traceSession(t *testing.T, opts Options, accs []trace.Access, chunk int) sessionTrace {
+	t.Helper()
+	var log bytes.Buffer
+	opts.Rec = obs.NewJSONL(&log)
+	s := NewSession(opts)
+	var out sessionTrace
+	noteBoundary := func() {
+		enc, err := checkpoint.Encode(s.Pending())
+		if err != nil {
+			t.Fatalf("encode at %d: %v", s.Consumed(), err)
+		}
+		out.boundaries = append(out.boundaries, fmt.Sprintf("%d %x", s.Consumed(), sha256.Sum256(enc)))
+	}
+	if chunk == 0 {
+		for _, a := range accs {
+			boundary, err := s.Step(a.Addr, a.IsWrite())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if boundary {
+				noteBoundary()
+			}
+		}
+	} else {
+		for off := 0; off < len(accs); off += chunk {
+			block := accs[off:min(off+chunk, len(accs))]
+			for len(block) > 0 {
+				n, boundary, err := s.StepBatch(block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					t.Fatalf("StepBatch consumed nothing at %d", s.Consumed())
+				}
+				block = block[n:]
+				if boundary {
+					noteBoundary()
+				} else if len(block) > 0 {
+					t.Fatalf("StepBatch stopped at %d without a boundary", s.Consumed())
+				}
+			}
+		}
+	}
+	res, ok := s.LastResult()
+	out.log = log.String()
+	out.final = fmt.Sprintf("events=%+v dropped=%d settled=%+v consumed=%d windows=%d retunes=%d tuning=%v config=%v stats=%+v at_boundary=%v last=%v/%+v",
+		s.Events(), s.EventsDropped(), s.Settled(), s.Consumed(), s.Windows(), s.Retunes(), s.Tuning(), s.Config(), s.Stats(), s.AtBoundary(), ok, res)
+	return out
+}
+
+// TestStepBatchMatchesStep: stepping a session in blocks of any size — one
+// access, odd sizes, just under and just over a window, the fleet's
+// 4096-access frames — produces the boundary snapshots, telemetry and final
+// state of per-access Step, including a run whose watchdog fires.
+func TestStepBatchMatchesStep(t *testing.T) {
+	runs := goldenRuns(t)
+	runs = append(runs, goldenRun{"watchdog binary, window 2000", Options{Window: 2_000, WatchdogWindows: 3}, runs[0].accs})
+	for _, r := range runs {
+		if testing.Short() {
+			r.accs = r.accs[:120_000]
+		}
+		want := traceSession(t, r.opts, r.accs, 0)
+		if len(want.boundaries) == 0 {
+			t.Fatalf("%s: no boundaries", r.name)
+		}
+		if r.opts.WatchdogWindows != 0 && !strings.Contains(want.final, "watchdog") {
+			t.Fatalf("%s: the watchdog never fired", r.name)
+		}
+		w := int(r.opts.Window)
+		for _, chunk := range []int{1, 7, w - 1, w + 1, 4096} {
+			got := traceSession(t, r.opts, r.accs, chunk)
+			if !reflect.DeepEqual(got.boundaries, want.boundaries) {
+				t.Errorf("%s, chunk %d: %d boundaries, want %d (first difference at %d)", r.name, chunk,
+					len(got.boundaries), len(want.boundaries), firstDiff(got.boundaries, want.boundaries))
+			}
+			if got.log != want.log {
+				t.Errorf("%s, chunk %d: telemetry log differs from per-access Step", r.name, chunk)
+			}
+			if got.final != want.final {
+				t.Errorf("%s, chunk %d: final state\n got %s\nwant %s", r.name, chunk, got.final, want.final)
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []string) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestOnlineReplayMatchesAccess: a tuning session fed in blocks through
+// Online.Replay settles, snapshots and images exactly like one fed per
+// access through Online.Access — on the reference cache.Configurable and on
+// the live fastsim.Kernel alike, and identically across the two.
+func TestOnlineReplayMatchesAccess(t *testing.T) {
+	accs := goldenRuns(t)[0].accs[:200_000]
+	// Both cache types also snapshot their contents.
+	type imagingCache interface {
+		tuner.LiveCache
+		Image() (cache.Image, error)
+	}
+	caches := map[string]func() imagingCache{
+		"configurable": func() imagingCache { return cache.MustConfigurable(cache.MinConfig()) },
+		"kernel": func() imagingCache {
+			k, err := fastsim.NewLive(cache.MinConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k
+		},
+	}
+	render := func(newCache func() imagingCache, chunk int) string {
+		var log bytes.Buffer
+		c := newCache()
+		o := tuner.NewOnline(c, energy.DefaultParams(), tuner.OnlineOptions{Window: 2_000, Meter: glitchMeter, Rec: obs.NewJSONL(&log)})
+		if chunk == 0 {
+			for _, a := range accs {
+				o.Access(a.Addr, a.IsWrite())
+			}
+		} else {
+			for off := 0; off < len(accs); off += chunk {
+				block := accs[off:min(off+chunk, len(accs))]
+				for len(block) > 0 {
+					block = block[o.Replay(block):]
+				}
+			}
+		}
+		if !o.Done() {
+			t.Fatal("session did not settle")
+		}
+		st, err := o.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := c.Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("result=%+v settle_wb=%d state=%+v image=%+v log=%s", o.Result(), o.SettleWritebacks(), st, img, log.String())
+	}
+	want := render(caches["configurable"], 0)
+	for name, newCache := range caches {
+		for _, chunk := range []int{0, 1, 7, 1_999, 2_001, 4096} {
+			if got := render(newCache, chunk); got != want {
+				t.Errorf("%s, chunk %d: session differs from per-access Online.Access on the reference cache", name, chunk)
+			}
+		}
+	}
+}
+
+// TestServingKernelNamesTheSessionCache: /statusz's kernel field names the
+// type a Session actually serves through.
+func TestServingKernelNamesTheSessionCache(t *testing.T) {
+	if got := fmt.Sprintf("%T", NewSession(Options{}).cache); got != "*"+ServingKernel {
+		t.Fatalf("session serves through %s, ServingKernel says %s", got, ServingKernel)
 	}
 }

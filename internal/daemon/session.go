@@ -7,6 +7,7 @@ import (
 
 	"selftune/internal/cache"
 	"selftune/internal/checkpoint"
+	"selftune/internal/fastsim"
 	"selftune/internal/obs"
 	"selftune/internal/trace"
 	"selftune/internal/tuner"
@@ -20,14 +21,18 @@ import (
 // with a checkpoint.Store for the single-stream cmd/tuned. A Session is not
 // safe for concurrent use; its owner serialises Step calls.
 //
-// Persistence stays outside: Step reports when a measurement-window boundary
-// was reached and the boundary snapshot rebuilt (Pending), and the owner
-// decides when to write it. Options.Dir, CheckpointEvery, Keep and Reg are
-// ignored at this layer.
+// Persistence stays outside: Step and StepBatch report when a
+// measurement-window boundary was reached and the boundary snapshot rebuilt
+// (Pending), and the owner decides when to write it. Options.Dir,
+// CheckpointEvery, Keep and Reg are ignored at this layer.
+//
+// The cache is the live fastsim.Kernel, reconfigured in place by the tuner;
+// it behaves, and images, bit-identically to the reference
+// cache.Configurable (the differential oracle in internal/fastsim pins it).
 type Session struct {
 	opts Options
 
-	cache   *cache.Configurable
+	cache   *fastsim.Kernel
 	search  *tuner.Online       // nil once settled
 	settled *checkpoint.Outcome // nil while the first session runs
 
@@ -71,6 +76,10 @@ type Session struct {
 	// only the search-latency histogram (opts.Hists) — never an event or a
 	// checkpoint — so it is deliberately not part of the snapshot.
 	searchT0 time.Time
+
+	// one is Step's single-access block, kept here so Step allocates
+	// nothing.
+	one [1]trace.Access
 }
 
 // NewSession starts a fresh stream loop. opts is filled with the same
@@ -78,7 +87,11 @@ type Session struct {
 func NewSession(opts Options) *Session {
 	opts.fill()
 	s := &Session{opts: opts, rec: obs.OrNop(opts.Rec), budget: opts.BudgetBytes}
-	s.cache = cache.MustConfigurable(cache.MinConfig())
+	k, err := fastsim.NewLive(cache.MinConfig())
+	if err != nil {
+		panic("daemon: " + err.Error()) // MinConfig is valid by construction
+	}
+	s.cache = k
 	s.search = s.newSearch()
 	return s
 }
@@ -96,7 +109,7 @@ func ResumeSession(opts Options, st *checkpoint.State) (*Session, error) {
 		// fall back to the configured assignment.
 		s.budget = opts.BudgetBytes
 	}
-	c, err := cache.RestoreConfigurable(st.Cache)
+	c, err := fastsim.Restore(st.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: recover: %w", err)
 	}
@@ -189,37 +202,62 @@ func (s *Session) appendEvent(ev checkpoint.Event) {
 // Step feeds one access. boundary reports that a measurement-window boundary
 // was reached and Pending rebuilt — the owner's cue to consider persisting.
 // The error is a snapshot-construction failure; the access itself always
-// completes.
+// completes. Step is StepBatch over a one-access block, so window accounting
+// has a single implementation.
 func (s *Session) Step(addr uint32, write bool) (boundary bool, err error) {
-	s.consumed++
+	kind := trace.DataRead
+	if write {
+		kind = trace.DataWrite
+	}
+	s.one[0] = trace.Access{Addr: addr, Kind: kind}
+	_, boundary, err = s.StepBatch(s.one[:])
+	return boundary, err
+}
+
+// StepBatch feeds a block of accesses and returns how many it consumed: all
+// of accs, or fewer when a measurement-window boundary is reached first —
+// it stops at every boundary (boundary true, Pending rebuilt), so the owner
+// sees each one exactly as per-access Step would report it. Callers loop
+// until accs is consumed. Only trace.DataWrite accesses store. The error is
+// a snapshot-construction failure; the consumed accesses always complete.
+func (s *Session) StepBatch(accs []trace.Access) (n int, boundary bool, err error) {
 	if s.search != nil {
-		before := s.search.CompletedWindows()
-		s.search.Access(addr, write)
-		if w := s.search.CompletedWindows(); w != before {
-			s.windows++
-			s.sessionWindows++
-		}
-		if s.search.Done() {
-			s.settle()
-			return true, s.boundary()
-		}
-		if s.search.CompletedWindows() != before {
-			if s.sessionWindows >= s.opts.WatchdogWindows {
-				s.watchdog()
+		for n < len(accs) {
+			before := s.search.CompletedWindows()
+			m := s.search.Replay(accs[n:])
+			n += m
+			s.consumed += uint64(m)
+			closed := s.search.CompletedWindows() != before
+			if closed {
+				s.windows++
+				s.sessionWindows++
 			}
-			return true, s.boundary()
+			if s.search.Done() {
+				s.settle()
+				return n, true, s.boundary()
+			}
+			if closed {
+				if s.sessionWindows >= s.opts.WatchdogWindows {
+					s.watchdog()
+				}
+				return n, true, s.boundary()
+			}
 		}
-		return false, nil
+		return n, false, nil
 	}
 
-	// Settled: serve the access and watch for a phase change.
-	r := s.cache.Access(addr, write)
-	s.winAcc++
-	if !r.Hit {
-		s.winMiss++
+	// Settled: serve up to the window end and watch for a phase change.
+	n = len(accs)
+	if room := s.opts.Window - s.winAcc; uint64(n) > room {
+		n = int(room)
 	}
+	misses := s.cache.Misses()
+	s.cache.ReplayBatch(accs[:n])
+	s.winMiss += s.cache.Misses() - misses
+	s.winAcc += uint64(n)
+	s.consumed += uint64(n)
 	if s.winAcc < s.opts.Window {
-		return false, nil
+		return n, false, nil
 	}
 	mr := float64(s.winMiss) / float64(s.winAcc)
 	s.winAcc, s.winMiss = 0, 0
@@ -230,7 +268,7 @@ func (s *Session) Step(addr uint32, write bool) (boundary bool, err error) {
 		s.baseline = mr
 		s.emit("daemon.window", s.cache.Config().String(),
 			slog.Float64("miss_rate", mr), slog.Bool("baseline", true))
-		return true, s.boundary()
+		return n, true, s.boundary()
 	}
 	drift := mr - s.baseline
 	if drift < 0 {
@@ -248,7 +286,7 @@ func (s *Session) Step(addr uint32, write bool) (boundary bool, err error) {
 			slog.Float64("threshold", s.opts.PhaseThreshold))
 		s.retune()
 	}
-	return true, s.boundary()
+	return n, true, s.boundary()
 }
 
 // settle records a finished search's outcome and switches to observing.
@@ -334,11 +372,9 @@ func (s *Session) watchdog() {
 	s.opts.Hists.search().ObserveSince(s.searchT0)
 	s.search = nil
 	safe := tuner.SafeConfig()
-	s.cache.AllowShrink = true
 	if err := s.cache.SetConfig(safe); err != nil {
 		panic("daemon: safe-config transition rejected: " + err.Error())
 	}
-	s.cache.AllowShrink = false
 	s.settled = &checkpoint.Outcome{Cfg: safe, Degraded: true, At: s.consumed}
 	s.appendEvent(checkpoint.Event{At: s.consumed, Kind: "watchdog", Cfg: safe})
 	s.emit("daemon.watchdog", safe.String(),

@@ -44,11 +44,14 @@ type frame struct {
 	dirty   bool
 }
 
-// Kernel is the fast replay kernel for the four-bank configurable cache. It
-// replays one fixed configuration from cold — the engine's per-configuration
-// replay contract — and does not support reconfiguration or a victim buffer
-// (the engine's models never attach either). The zero value is not usable;
-// construct with New.
+// Kernel is the fast replay kernel for the four-bank configurable cache.
+// A kernel built by New replays one fixed configuration from cold — the
+// engine's per-configuration replay contract. A kernel built by NewLive or
+// Restore is the live cache a tuning session serves through: SetConfig
+// reconfigures it in place with the reference cache's §3.3 semantics, and
+// Image/Restore round-trip it through the same cache.Image bytes. Neither
+// kind supports a victim buffer (no live session or engine model attaches
+// one). The zero value is not usable.
 type Kernel struct {
 	// frames is the flat bank-major frame array: frames[bank<<7|row].
 	frames [cache.NumBanks * cache.BankRows]frame
@@ -58,8 +61,9 @@ type Kernel struct {
 	stats cache.Stats
 	cfg   cache.Config
 
-	// Per-configuration tables precomputed at construction so the access
-	// loop runs without the reference simulator's bank-select switch.
+	// Per-configuration tables, recomputed by setTables on construction and
+	// reconfiguration, so the access loop runs without the reference
+	// simulator's bank-select switch.
 	//
 	// bankTab lists the candidate banks for each value of the bank-select
 	// address bits (addr>>11)&3; nBanks is how many entries are live (the
@@ -75,21 +79,52 @@ type Kernel struct {
 	sublines uint32
 	// activeBanks bounds the DirtyLines scan.
 	activeBanks int
+
+	// live marks a reconfigurable kernel (NewLive, Restore). Its loops keep
+	// the LRU clock and timestamps in every configuration, because images
+	// record both and a later reconfiguration to a multi-way configuration
+	// reads them. dm selects replayDM, the clock-free single-way loop, which
+	// only fixed-configuration kernels may take.
+	live bool
+	dm   bool
 }
 
-// New returns a cold kernel in configuration cfg.
-func New(cfg cache.Config) (*Kernel, error) {
+// New returns a cold fixed-configuration kernel in configuration cfg.
+func New(cfg cache.Config) (*Kernel, error) { return newKernel(cfg, false) }
+
+// NewLive returns a cold reconfigurable kernel in configuration cfg: the
+// fast twin of cache.NewConfigurable that a tuning session serves through.
+func NewLive(cfg cache.Config) (*Kernel, error) { return newKernel(cfg, true) }
+
+func newKernel(cfg cache.Config, live bool) (*Kernel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	k := &Kernel{cfg: cfg}
+	k := &Kernel{live: live}
+	k.setTables(cfg)
+	k.resetPredictor()
+	// Sentinel blocks let the direct-mapped loop fold the valid check into
+	// the block compare: a real block is addr>>4 < 1<<28, so all-ones never
+	// matches. The general loop still checks valid, which is also still
+	// false; the sentinel is inert there.
+	for i := range k.frames {
+		k.frames[i].block = ^uint32(0)
+	}
+	return k, nil
+}
+
+// setTables installs cfg and recomputes the per-configuration tables.
+func (k *Kernel) setTables(cfg cache.Config) {
+	k.cfg = cfg
 	k.nBanks = cfg.Ways
 	k.predict = cfg.WayPredict
 	k.sublines = uint32(cfg.SublinesPerLine())
 	k.activeBanks = cfg.ActiveBanks()
+	k.predSelMask = 0
 	if cfg.SizeBytes == 8192 && cfg.Ways == 2 {
 		k.predSelMask = 1
 	}
+	k.dm = k.nBanks == 1 && !k.predict && !k.live
 	// Transcribe cache.Configurable.candidateBanks for each value of the
 	// bank-select bits, preserving the probe order (it decides hit-probe
 	// and victim tie-breaks).
@@ -111,17 +146,12 @@ func New(cfg cache.Config) (*Kernel, error) {
 			tab[0] = 0
 		}
 	}
+}
+
+func (k *Kernel) resetPredictor() {
 	for i := range k.pred {
 		k.pred[i] = noPrediction
 	}
-	// Sentinel blocks let the direct-mapped loop fold the valid check into
-	// the block compare: a real block is addr>>4 < 1<<28, so all-ones never
-	// matches. The general loop still checks valid, which is also still
-	// false; the sentinel is inert there.
-	for i := range k.frames {
-		k.frames[i].block = ^uint32(0)
-	}
-	return k, nil
 }
 
 // Must is New that panics on an invalid configuration, mirroring
@@ -140,18 +170,24 @@ func (k *Kernel) Config() cache.Config { return k.cfg }
 // Stats returns the counters accumulated since the last ResetStats.
 func (k *Kernel) Stats() cache.Stats { return k.stats }
 
+// Misses is Stats().Misses without copying the counters: the settled
+// session's per-window miss count is read around every served block.
+func (k *Kernel) Misses() uint64 { return k.stats.Misses }
+
 // ResetStats zeroes the counters without touching contents.
 func (k *Kernel) ResetStats() { k.stats = cache.Stats{} }
 
 // ReplayBatch replays a block of accesses through the kernel. It is the hot
-// loop of every sweep: allocation-free (pinned by test and benchmark) and
-// free of per-access interface dispatch. Instruction fetches and loads are
-// reads; only trace.DataWrite stores. Single-way configurations without way
+// loop of every sweep and of every live session: allocation-free (pinned by
+// test and benchmark) and free of per-access interface dispatch. Instruction
+// fetches and loads are reads; only trace.DataWrite stores. On a
+// fixed-configuration kernel, single-way configurations without way
 // prediction (a third of the space) take a specialised loop that skips the
-// clock and LRU bookkeeping outright — with one candidate bank the
-// timestamps are never compared and never observable.
+// clock and LRU bookkeeping outright — with one candidate bank and no
+// reconfiguration ahead the timestamps are never compared and never
+// observable.
 func (k *Kernel) ReplayBatch(accs []trace.Access) {
-	if k.nBanks == 1 && !k.predict {
+	if k.dm {
 		k.replayDM(accs)
 		return
 	}
@@ -218,10 +254,12 @@ func (k *Kernel) ReplayBatch(accs []trace.Access) {
 	st.ExtraCycles += predMisses // each misprediction costs one extra cycle
 }
 
-// replayDM is the single-way loop. Sentinel blocks fold the valid check into
-// the block compare; counters accumulate in registers and flush once per
-// batch. The clock is deliberately not advanced: with a single candidate
-// bank no replacement decision ever reads a timestamp.
+// replayDM is the single-way loop of fixed-configuration kernels. Sentinel
+// blocks fold the valid check into the block compare; counters accumulate in
+// registers and flush once per batch. The clock is deliberately not
+// advanced: with a single candidate bank no replacement decision ever reads
+// a timestamp. A live kernel never runs it — its image records the clock,
+// and a later multi-way configuration compares the timestamps.
 func (k *Kernel) replayDM(accs []trace.Access) {
 	sublines := k.sublines
 	var hits, misses, writes, writebacks, filled uint64

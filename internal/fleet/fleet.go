@@ -1220,12 +1220,15 @@ func (m *Manager) runBatch(s *session, d *daemon.Daemon, accs []trace.Access) (f
 			failure = fmt.Errorf("fleet: worker panic: %v", r)
 		}
 	}()
-	for _, a := range accs {
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
+	for len(accs) > 0 {
+		n, _, err := d.StepBatch(accs)
+		if err != nil {
 			return err
 		}
-		// Per-access so a settle followed by a re-tune inside one batch is
-		// still captured; the guard is two pointer loads.
+		accs = accs[n:]
+		// Per chunk: a chunk ends at every window boundary, and a settle
+		// and any later re-tune fall on different boundaries, so a settle
+		// followed by a re-tune inside one batch is still captured.
 		m.maybeProfile(s, d)
 	}
 	return nil

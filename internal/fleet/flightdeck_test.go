@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -257,6 +258,9 @@ func TestManagerStatusz(t *testing.T) {
 	if len(st.Sessions) != 2 {
 		t.Fatalf("statusz lists %d sessions, want 2", len(st.Sessions))
 	}
+	if st.Kernel != daemon.ServingKernel || st.Build.GoVersion != runtime.Version() {
+		t.Fatalf("statusz reports kernel %q build %+v, want %q built by %s", st.Kernel, st.Build, daemon.ServingKernel, runtime.Version())
+	}
 	for i, want := range []string{"a", "b"} {
 		row := st.Sessions[i]
 		if row.ID != want {
@@ -278,6 +282,9 @@ func TestManagerStatusz(t *testing.T) {
 		}
 		if row.Daemon.Config == "" {
 			t.Fatalf("session %s snapshot has no config", row.ID)
+		}
+		if row.Daemon.Kernel != st.Kernel || row.Daemon.Build != st.Build {
+			t.Fatalf("session %s snapshot reports kernel %q build %+v, fleet %q %+v", row.ID, row.Daemon.Kernel, row.Daemon.Build, st.Kernel, st.Build)
 		}
 	}
 	if len(st.Shards) != 2 {

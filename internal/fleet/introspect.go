@@ -103,6 +103,10 @@ type Status struct {
 	BudgetBytes   int    `json:"budget_bytes,omitempty"`
 	Allocs        uint64 `json:"allocs,omitempty"`
 	AssignedBytes int    `json:"assigned_bytes,omitempty"`
+	// Kernel is the cache implementation every session serves through;
+	// Build identifies the binary.
+	Kernel string    `json:"kernel"`
+	Build  obs.Build `json:"build"`
 }
 
 // Statusz snapshots the live fleet for the /statusz endpoint. Safe to call
@@ -116,6 +120,8 @@ func (m *Manager) Statusz() Status {
 		WorkerPanics: m.panics,
 		Enforced:     m.opts.EnforceBudget,
 		BudgetBytes:  m.opts.AllocBudgetBytes,
+		Kernel:       daemon.ServingKernel,
+		Build:        obs.ReadBuild(),
 	}
 	ss := make([]*session, 0, len(m.sessions))
 	for _, s := range m.sessions {

@@ -6,7 +6,24 @@ import (
 	"selftune/internal/cache"
 	"selftune/internal/energy"
 	"selftune/internal/obs"
+	"selftune/internal/trace"
 )
+
+// LiveCache is the running cache a session tunes: served an access at a
+// time (cache.Simulator) or a block at a time (ReplayBatch), and
+// reconfigured in place between windows. The reference cache.Configurable
+// and the fast fastsim.Kernel (built by NewLive or Restore) both satisfy it;
+// a session behaves bit-identically on either.
+type LiveCache interface {
+	cache.Simulator
+	// Config is the applied configuration.
+	Config() cache.Config
+	// Reconfigure applies cfg without flushing, shrinking transitions
+	// permitted (way shutdown writes back the deactivated dirty lines).
+	Reconfigure(cfg cache.Config) error
+	// ReplayBatch performs a block of accesses.
+	ReplayBatch(accs []trace.Access)
+}
 
 // Online drives a live configurable cache through the heuristic without
 // ever flushing it, the way the on-chip tuner hardware does: each candidate
@@ -20,7 +37,7 @@ import (
 // inline whenever a window completes, so a session owns no goroutine and an
 // abandoned one needs no teardown.
 type Online struct {
-	cache  *cache.Configurable
+	cache  LiveCache
 	params *energy.Params
 	window uint64
 	warmup uint64
@@ -100,7 +117,7 @@ type OnlineOptions struct {
 }
 
 // NewOnline starts a tuning session on c.
-func NewOnline(c *cache.Configurable, p *energy.Params, opts OnlineOptions) *Online {
+func NewOnline(c LiveCache, p *energy.Params, opts OnlineOptions) *Online {
 	o := newOnline(c, p, opts)
 	o.beginSearchSpan()
 	o.search = newSearch(PaperOrder, o.searchSpace(), o.traceStep)
@@ -109,7 +126,7 @@ func NewOnline(c *cache.Configurable, p *energy.Params, opts OnlineOptions) *Onl
 }
 
 // newOnline builds a session with no search attached.
-func newOnline(c *cache.Configurable, p *energy.Params, opts OnlineOptions) *Online {
+func newOnline(c LiveCache, p *energy.Params, opts OnlineOptions) *Online {
 	return &Online{
 		cache:     c,
 		params:    p,
@@ -233,11 +250,9 @@ func (o *Online) finish(res SearchResult) {
 // only the dirty lines of the deactivated banks — never a full flush.
 func (o *Online) apply(cfg cache.Config) {
 	before := o.cache.Stats().SettleWritebacks
-	o.cache.AllowShrink = true
-	if err := o.cache.SetConfig(cfg); err != nil {
+	if err := o.cache.Reconfigure(cfg); err != nil {
 		panic("tuner: online transition rejected: " + err.Error())
 	}
-	o.cache.AllowShrink = false
 	o.settleWB += o.cache.Stats().SettleWritebacks - before
 }
 
@@ -270,30 +285,70 @@ func (o *Online) SettleWritebacks() uint64 { return o.settleWB }
 // session when the window completes.
 func (o *Online) Access(addr uint32, write bool) cache.AccessResult {
 	r := o.cache.Access(addr, write)
-	if o.pending {
-		if o.warmupLeft > 0 {
-			o.warmupLeft--
-			if o.warmupLeft == 0 {
-				o.cache.ResetStats()
-			}
-			return r
-		}
-		o.count++
-		if o.count >= o.window {
-			o.pending = false
-			cfg := o.cache.Config()
-			st := o.cache.Stats()
-			if o.meter != nil {
-				st = o.meter(cfg, st)
-			}
-			b := o.params.Evaluate(cfg, st)
-			r := EvalResult{Cfg: cfg, Energy: b.Total(), Breakdown: b, Stats: st}
-			o.history = append(o.history, r)
-			o.search.Feed(r)
-			o.advance()
-		}
-	}
+	o.account(1)
 	return r
+}
+
+// Replay feeds a block of references through the cache in one ReplayBatch
+// and returns how many it consumed: all of accs, or fewer when the block
+// reaches the end of the current warmup or measurement window, where it
+// stops so the window closes (and the next configuration is applied) at
+// exactly the access Access would close it at. Callers loop until accs is
+// consumed.
+func (o *Online) Replay(accs []trace.Access) int {
+	n := len(accs)
+	if room := o.room(); uint64(n) > room {
+		n = int(room)
+	}
+	o.cache.ReplayBatch(accs[:n])
+	o.account(uint64(n))
+	return n
+}
+
+// room is how many accesses fit before the next warmup or window end: at
+// least one, and unbounded once the session stopped searching.
+func (o *Online) room() uint64 {
+	switch {
+	case !o.pending:
+		return ^uint64(0)
+	case o.warmupLeft > 0:
+		return o.warmupLeft
+	case o.count < o.window:
+		return o.window - o.count
+	}
+	return 1
+}
+
+// account advances the window bookkeeping over n just-served accesses (n is
+// at most room()): the warmup countdown, then the measured count, then —
+// when the window completes — pricing the reading, feeding the search and
+// applying its next configuration.
+func (o *Online) account(n uint64) {
+	if !o.pending {
+		return
+	}
+	if o.warmupLeft > 0 {
+		o.warmupLeft -= n
+		if o.warmupLeft == 0 {
+			o.cache.ResetStats()
+		}
+		return
+	}
+	o.count += n
+	if o.count < o.window {
+		return
+	}
+	o.pending = false
+	cfg := o.cache.Config()
+	st := o.cache.Stats()
+	if o.meter != nil {
+		st = o.meter(cfg, st)
+	}
+	b := o.params.Evaluate(cfg, st)
+	r := EvalResult{Cfg: cfg, Energy: b.Total(), Breakdown: b, Stats: st}
+	o.history = append(o.history, r)
+	o.search.Feed(r)
+	o.advance()
 }
 
 // Done reports whether the search has settled.
@@ -307,4 +362,4 @@ func (o *Online) Degraded() bool { return o.finished && o.result.Degraded }
 func (o *Online) Result() SearchResult { return o.result }
 
 // Cache returns the cache under tuning.
-func (o *Online) Cache() *cache.Configurable { return o.cache }
+func (o *Online) Cache() LiveCache { return o.cache }

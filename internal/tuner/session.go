@@ -101,7 +101,7 @@ func (o *Online) Snapshot() (SessionState, error) {
 // identical to the first life's — the determinism contract that lets a
 // killed-and-resumed daemon's event log be deduplicated by
 // (session, window, step) instead of diverging.
-func ResumeOnline(c *cache.Configurable, p *energy.Params, st SessionState, opts OnlineOptions) (*Online, error) {
+func ResumeOnline(c LiveCache, p *energy.Params, st SessionState, opts OnlineOptions) (*Online, error) {
 	if st.Window == 0 {
 		return nil, fmt.Errorf("tuner: resume: zero measurement window")
 	}

@@ -39,7 +39,7 @@ func snapshotAt(t *testing.T, o *Online, accs []trace.Access, k uint64) (Session
 			if err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
-			img, err := o.Cache().Image()
+			img, err := o.Cache().(*cache.Configurable).Image()
 			if err != nil {
 				t.Fatalf("Image: %v", err)
 			}
@@ -182,7 +182,7 @@ func TestSessionResumeFresh(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot before first access: %v", err)
 	}
-	img, err := o.Cache().Image()
+	img, err := o.Cache().(*cache.Configurable).Image()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSessionResumeFinished(t *testing.T) {
 	if !st.Finished {
 		t.Fatal("snapshot of a settled session not marked finished")
 	}
-	img, err := o.Cache().Image()
+	img, err := o.Cache().(*cache.Configurable).Image()
 	if err != nil {
 		t.Fatal(err)
 	}

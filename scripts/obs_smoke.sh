@@ -64,13 +64,18 @@ grep -q '^daemon_persist_seconds_bucket' "$tmp/metrics.txt" \
     || { echo "daemon_persist_seconds histogram missing"; exit 1; }
 
 # /statusz: the live JSON snapshot must report consumed progress and the
-# current configuration.
+# current configuration...
 code="$(curl -s -o "$tmp/statusz.json" -w '%{http_code}' "http://$addr/statusz")"
 [ "$code" = 200 ] || { echo "/statusz returned $code"; exit 1; }
 grep -q '"consumed_accesses": [1-9]' "$tmp/statusz.json" \
     || { echo "statusz lacks consumed progress:"; cat "$tmp/statusz.json"; exit 1; }
 grep -q '"config":' "$tmp/statusz.json" \
     || { echo "statusz lacks the current config:"; cat "$tmp/statusz.json"; exit 1; }
+# ...and what is serving: the cache implementation and the binary's build.
+grep -q '"kernel": "fastsim.Kernel"' "$tmp/statusz.json" \
+    || { echo "statusz lacks the serving kernel:"; cat "$tmp/statusz.json"; exit 1; }
+grep -q '"go_version": "go[0-9]' "$tmp/statusz.json" \
+    || { echo "statusz lacks the build's Go version:"; cat "$tmp/statusz.json"; exit 1; }
 
 kill -INT "$pid"
 wait "$pid" || true
