@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race race-stress vet bench bench-json check fuzz obs-smoke fleet-smoke chaos-smoke
+.PHONY: build test race race-stress vet bench bench-json check fuzz obs-smoke fleet-smoke chaos-smoke perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,12 @@ fleet-smoke:
 # binaries (see scripts/chaos_smoke.sh).
 chaos-smoke:
 	bash scripts/chaos_smoke.sh
+
+# perfbench/ is its own module, so `go test ./...` at the root never builds
+# it; this compiles the benchmark against the current engine and tuner API
+# and runs its tests.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # go test runs one -fuzz pattern per invocation, so each target gets its own.
 fuzz:

@@ -15,7 +15,6 @@ import (
 	"selftune/internal/cache"
 	"selftune/internal/core"
 	"selftune/internal/energy"
-	"selftune/internal/engine"
 	"selftune/internal/obs"
 	"selftune/internal/programs"
 	"selftune/internal/report"
@@ -43,12 +42,8 @@ func run() error {
 	compare := flag.Bool("compare", false, "after the run, sweep all 27 configurations offline and compare the tuner's choices against the exhaustive optimum")
 	lenient := flag.Bool("lenient", false, "skip malformed lines in -trace din files instead of failing")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-	fastsim := flag.Bool("fastsim", true, "replay through the fast kernels (bit-identical to the reference simulators); -fastsim=false forces the reference path")
-	fused := flag.Bool("fused", false, "serve four-bank sweeps from the fused single-pass 27-config kernel (bit-identical, opt-in)")
 	ofl := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	engine.SetFastSim(*fastsim)
-	engine.SetFusedSweep(*fused)
 
 	if *list {
 		fmt.Println("synthetic profiles (Powerstone/MediaBench models):")

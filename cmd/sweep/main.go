@@ -16,7 +16,6 @@ import (
 	"runtime"
 
 	"selftune/internal/energy"
-	"selftune/internal/engine"
 	"selftune/internal/experiments"
 	"selftune/internal/obs"
 	"selftune/internal/report"
@@ -36,12 +35,8 @@ func run() error {
 	tracePath := flag.String("trace", "", "sweep a recorded dineroIV-format trace instead of the synthetic workloads")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel replay workers")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-	fastsim := flag.Bool("fastsim", true, "replay through the fast kernels (bit-identical to the reference simulators); -fastsim=false forces the reference path")
-	fused := flag.Bool("fused", false, "serve four-bank sweeps from the fused single-pass 27-config kernel (bit-identical, opt-in)")
 	ofl := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	engine.SetFastSim(*fastsim)
-	engine.SetFusedSweep(*fused)
 
 	// -v streams per-replay engine events to stderr; the recorder rides
 	// the context into the experiment sweeps.

@@ -1,19 +1,21 @@
 // Package engine owns trace replay end-to-end: it replays a shared immutable
-// reference stream through a freshly built cache simulator per configuration,
-// applies the end-of-interval dirty-line drain and the Equation 1 energy
-// pricing exactly once, memoises per-configuration results behind a mutex,
-// and fans sweeps out across a bounded worker pool. Every evaluator and
-// experiment sweep in the repository (tuner.TraceEvaluator,
-// tuner.ScalableEvaluator, the exhaustive baselines, the ordering
-// tournament, and the Table 1 / Figure 2-4 / window-sensitivity experiment
-// generators) routes through this package, so the replay semantics are
-// defined in one place and every sweep parallelises the same way.
+// reference stream through a freshly built cache simulator per configuration
+// (or, for a batch of four-bank configurations, one fused pass), applies
+// the end-of-interval dirty-line drain and the Equation 1 energy pricing
+// exactly once, memoises per-configuration results behind a mutex, and fans
+// sweeps out across a bounded worker pool. Every evaluator and experiment
+// sweep in the repository (tuner.TraceEvaluator, tuner.ScalableEvaluator,
+// the exhaustive baselines, the ordering tournament, and the Table 1 /
+// Figure 2-4 / window-sensitivity experiment generators) routes through
+// this package, so the replay semantics are defined in one place and every
+// sweep parallelises the same way.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,21 +52,20 @@ type Model[C comparable] struct {
 	// FastBuild, when non-nil, constructs the fast replay kernel for a
 	// configuration. It must be bit-identical to Build in every output the
 	// engine observes (Stats, DirtyLines) — the fastsim differential
-	// oracle enforces this for the stock models. Which factory a replay
-	// uses is decided per evaluation (the package FastSim flag or a
-	// WithFastSim/WithReferenceSim constructor option), and the kernel
-	// identity is part of the memo key.
+	// oracle enforces this for the stock models. An engine replays through
+	// it unless constructed WithReferenceSim.
 	FastBuild Factory[C]
 	// FusedBuild, when non-nil, constructs a fused multi-configuration
 	// kernel: one trace pass that measures every configuration in its
 	// Configs set at once (fastsim.FusedKernel for the four-bank space).
 	// Like FastBuild it must be bit-identical to Build per configuration —
-	// the fused tier of the differential oracle enforces this. The fused
-	// path is opt-in (SetFusedSweep / WithFusedSweep) and only serves
-	// configurations in the kernel's coverage set; everything else falls
-	// back to the per-configuration factories. Fault wrappers clear this
-	// field: injection is per (configuration, reading) and a fused pass
-	// cannot realise it, so a fault-armed model must never fuse.
+	// the fused tier of the differential oracle enforces this. A default
+	// engine serves every batch request (EvaluateAll, Sweep) from one fused
+	// pass over the request's covered configurations; single evaluations and
+	// uncovered configurations use the per-configuration factories. Fault
+	// wrappers clear this field: injection is per (configuration, reading)
+	// and a fused pass cannot realise it, so a fault-armed model must never
+	// fuse.
 	FusedBuild func() FusedReplayer[C]
 	// Price applies Equation 1 to the interval's counters.
 	Price func(C, cache.Stats) energy.Breakdown
@@ -112,21 +113,6 @@ func (rp RetryPolicy) attempts() int {
 	return rp.Attempts
 }
 
-// Kernel identity tags. A replay's kernel is part of its memo key, so fast
-// and reference evaluations of the same configuration in one process occupy
-// separate memo slots and cannot cross-contaminate.
-const (
-	// KernelReference tags replays through the reference simulators.
-	KernelReference = "reference"
-	// KernelFast tags replays through the fastsim kernels (Model.FastBuild).
-	KernelFast = "fast"
-	// KernelFused tags replays served by a fused multi-configuration pass
-	// (Model.FusedBuild). Fused results occupy their own memo slots: a
-	// process that mixes fused, fast and reference replays can never serve
-	// a result measured by one kernel to a request for another.
-	KernelFused = "fused"
-)
-
 // FusedReplayer is the fused-sweep contract: a kernel that replays one
 // columnar stream through a fixed set of configurations simultaneously and
 // reconstructs each configuration's interval counters and drain count
@@ -144,75 +130,42 @@ type FusedReplayer[C comparable] interface {
 	DirtyLinesOf(C) int
 }
 
-// fastSim is the package-level feature flag: when set (the default), engines
-// whose model carries a FastBuild factory replay through the fast kernel.
-// The CLIs' -fastsim flag and per-engine constructor options override it.
-var fastSim atomic.Bool
-
-func init() { fastSim.Store(true) }
-
-// SetFastSim flips the package-level fast-kernel flag (the CLIs' -fastsim
-// flag). It only affects engines whose model provides FastBuild and which
-// were not constructed with an explicit kernel option.
-func SetFastSim(on bool) { fastSim.Store(on) }
-
-// FastSimEnabled reports the package-level fast-kernel flag.
-func FastSimEnabled() bool { return fastSim.Load() }
-
-// fusedSweep is the package-level fused-sweep flag: when set, engines whose
-// model carries a FusedBuild factory serve covered configurations from one
-// fused multi-configuration pass instead of per-configuration replays.
-// Off by default — the fused path is an opt-in (the CLIs' -fused flag),
-// unlike fastsim.
-var fusedSweep atomic.Bool
-
-// SetFusedSweep flips the package-level fused-sweep flag (the CLIs' -fused
-// flag). It only affects engines whose model provides FusedBuild and which
-// were not constructed with an explicit kernel option.
-func SetFusedSweep(on bool) { fusedSweep.Store(on) }
-
-// FusedSweepEnabled reports the package-level fused-sweep flag.
-func FusedSweepEnabled() bool { return fusedSweep.Load() }
-
 // Option configures an Engine at construction.
 type Option func(*engineOptions)
 
-type engineOptions struct {
-	// kernel forces a kernel regardless of the package flag; "" follows it.
-	kernel string
-}
+type engineOptions struct{ pin kernel }
 
-// WithFastSim forces the engine onto the fast kernel (Model.FastBuild),
-// ignoring the package flag. An engine whose model has no FastBuild factory
-// still replays through the reference simulator.
+// kernel is a constructor pin on the engine's kernel selection.
+type kernel uint8
+
+const (
+	// kernelDefault fuses batch requests and replays single evaluations
+	// through the per-configuration fast kernel.
+	kernelDefault kernel = iota
+	kernelFast
+	kernelReference
+	kernelFused
+)
+
+// WithFastSim pins the engine to the per-configuration fast kernel
+// (Model.FastBuild) for every evaluation, batches included. An engine whose
+// model has no FastBuild factory replays through the reference simulator.
 func WithFastSim() Option {
-	return func(o *engineOptions) { o.kernel = KernelFast }
+	return func(o *engineOptions) { o.pin = kernelFast }
 }
 
-// WithReferenceSim forces the engine onto the reference simulator, ignoring
-// the package flag — the differential oracle's and bench harness's baseline
-// side.
+// WithReferenceSim pins the engine to the reference simulator for every
+// evaluation — the differential oracle's and bench harness's baseline side.
 func WithReferenceSim() Option {
-	return func(o *engineOptions) { o.kernel = KernelReference }
+	return func(o *engineOptions) { o.pin = kernelReference }
 }
 
-// WithFusedSweep forces the engine onto the fused multi-configuration pass
-// (Model.FusedBuild) for covered configurations, ignoring the package flags.
-// Configurations outside the fused kernel's coverage — and every replay of a
-// model without FusedBuild — fall back to the package FastSim flag's choice
-// of per-configuration kernel.
+// WithFusedSweep serves single evaluations from the fused pass too: the
+// first evaluation of a covered configuration measures the fused kernel's
+// whole coverage set. Uncovered configurations, and every replay of a model
+// without FusedBuild, use the per-configuration fast kernel.
 func WithFusedSweep() Option {
-	return func(o *engineOptions) { o.kernel = KernelFused }
-}
-
-// simKey identifies one memoised replay: the configuration plus the kernel
-// that produced it. Keying the memo (and the in-flight table) on the kernel
-// identity means a process that mixes fast and reference replays — the
-// oracle, the bench harness, a flag flip mid-run — can never serve a result
-// measured by one kernel to a request for the other.
-type simKey[C comparable] struct {
-	cfg    C
-	kernel string
+	return func(o *engineOptions) { o.pin = kernelFused }
 }
 
 // Engine replays one shared immutable reference stream through
@@ -241,10 +194,14 @@ type Engine[C comparable] struct {
 	// the clock — the telemetry-inertness contract.
 	hist *obs.Histogram
 
-	// forced pins the kernel chosen at construction (WithFastSim /
-	// WithReferenceSim / WithFusedSweep); empty means follow the package
-	// flags per call.
-	forced string
+	// The kernel selection, fixed at construction. build is the
+	// per-configuration factory; fuseBatch serves a batch request's covered
+	// configurations from one fused pass, and fuseSingle does the same for a
+	// single evaluation. Each configuration thus maps to one result whichever
+	// kernel measures it — fused and per-configuration replays share the
+	// memo because the oracle pins them bit-identical.
+	build                 Factory[C]
+	fuseBatch, fuseSingle bool
 
 	// cols is the columnar transposition of accs, built once on the first
 	// fused replay and shared (read-only) by every subsequent pass.
@@ -254,11 +211,11 @@ type Engine[C comparable] struct {
 	// fusedCfgs is the fused kernel's coverage set, resolved once from a
 	// throwaway FusedBuild instance on first use.
 	fusedOnce sync.Once
-	fusedCfgs map[C]struct{}
+	fusedCfgs []C
 
 	mu       sync.Mutex
-	memo     map[simKey[C]]Result[C]
-	inflight map[simKey[C]]*sync.WaitGroup
+	memo     map[C]Result[C]
+	inflight map[C]*sync.WaitGroup
 }
 
 // Counters are the engine's lifetime memoiser and resilience counters.
@@ -305,93 +262,37 @@ func (e *Engine[C]) rec() obs.Recorder {
 // New builds an engine over a recorded stream. The stream should be a single
 // cache's view: instruction fetches for an I-cache study or data references
 // for a D-cache study (use trace.Split). The engine aliases accs; callers
-// must not mutate it afterwards. By default the engine follows the package
-// FastSim flag when the model provides a fast kernel; WithFastSim and
-// WithReferenceSim pin the choice per engine.
+// must not mutate it afterwards. By default a batch request is served from
+// one fused pass when the model provides FusedBuild, and everything else
+// from the fast kernel when the model provides FastBuild; WithFastSim,
+// WithReferenceSim and WithFusedSweep pin one kernel instead.
 func New[C comparable](accs []trace.Access, m Model[C], opts ...Option) *Engine[C] {
 	var o engineOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return &Engine[C]{
+	e := &Engine[C]{
 		accs:     accs,
 		model:    m,
-		forced:   o.kernel,
-		memo:     map[simKey[C]]Result[C]{},
-		inflight: map[simKey[C]]*sync.WaitGroup{},
+		build:    m.Build,
+		memo:     map[C]Result[C]{},
+		inflight: map[C]*sync.WaitGroup{},
 	}
+	if m.FastBuild != nil && o.pin != kernelReference {
+		e.build = m.FastBuild
+	}
+	if m.FusedBuild != nil {
+		e.fuseBatch = o.pin == kernelDefault || o.pin == kernelFused
+		e.fuseSingle = o.pin == kernelFused
+	}
+	return e
 }
 
-// Kernel reports which per-configuration kernel the engine would use for an
-// evaluation started now: KernelFast when the model provides a fast factory
-// and either the engine or the package flag selects it, else
-// KernelReference. When the fused sweep is active, configurations inside the
-// fused kernel's coverage use KernelFused instead (resolved per
-// configuration by kernelFor); Kernel reports the fallback the remaining
-// configurations get.
-func (e *Engine[C]) Kernel() string {
-	if e.model.FastBuild == nil {
-		return KernelReference
-	}
-	switch e.forced {
-	case KernelFast:
-		return KernelFast
-	case KernelReference:
-		return KernelReference
-	}
-	if FastSimEnabled() {
-		return KernelFast
-	}
-	return KernelReference
-}
-
-// fusedWanted reports whether the engine is currently selecting the fused
-// pass: the model must carry a fused factory, and either the engine was
-// pinned with WithFusedSweep or it follows the package flag. WithFastSim /
-// WithReferenceSim pin away from the fused path entirely.
-func (e *Engine[C]) fusedWanted() bool {
-	if e.model.FusedBuild == nil {
-		return false
-	}
-	switch e.forced {
-	case KernelFused:
-		return true
-	case "":
-		return FusedSweepEnabled()
-	}
-	return false
-}
-
-// fusedCovers reports whether the fused kernel's configuration set includes
-// cfg. The set is resolved once per engine.
-func (e *Engine[C]) fusedCovers(cfg C) bool {
-	e.fusedOnce.Do(func() {
-		set := map[C]struct{}{}
-		for _, c := range e.model.FusedBuild().Configs() {
-			set[c] = struct{}{}
-		}
-		e.fusedCfgs = set
-	})
-	_, ok := e.fusedCfgs[cfg]
-	return ok
-}
-
-// kernelFor resolves the kernel for one configuration's evaluation: the
-// fused pass when it is selected and covers cfg, else the per-configuration
-// kernel from Kernel().
-func (e *Engine[C]) kernelFor(cfg C) string {
-	if e.fusedWanted() && e.fusedCovers(cfg) {
-		return KernelFused
-	}
-	return e.Kernel()
-}
-
-// build constructs the simulator for one memo key's replay.
-func (e *Engine[C]) build(key simKey[C]) Simulator {
-	if key.kernel == KernelFast {
-		return e.model.FastBuild(key.cfg)
-	}
-	return e.model.Build(key.cfg)
+// coverage returns the fused kernel's configuration set, resolved once per
+// engine.
+func (e *Engine[C]) coverage() []C {
+	e.fusedOnce.Do(func() { e.fusedCfgs = e.model.FusedBuild().Configs() })
+	return e.fusedCfgs
 }
 
 // Len is the number of accesses replayed per configuration.
@@ -411,20 +312,29 @@ func (e *Engine[C]) Evaluate(cfg C) Result[C] {
 // deterministically failed) replays are memoised; a cancelled replay is not,
 // so a later call can complete it.
 func (e *Engine[C]) EvaluateCtx(ctx context.Context, cfg C) (Result[C], error) {
-	// The kernel is resolved once per evaluation, so a package-flag flip
-	// mid-call cannot split the key from the simulator actually built.
-	key := simKey[C]{cfg: cfg, kernel: e.kernelFor(cfg)}
+	var fuse []C
+	if e.fuseSingle {
+		fuse = e.coverage()
+	}
+	return e.evaluate(ctx, cfg, fuse)
+}
+
+// evaluate serves one configuration from the memo, or leads its replay:
+// when fuse contains cfg, one fused pass over every configuration in fuse
+// that is neither memoised nor in flight; otherwise a per-configuration
+// replay.
+func (e *Engine[C]) evaluate(ctx context.Context, cfg C, fuse []C) (Result[C], error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return Result[C]{Cfg: cfg}, err
 		}
 		e.mu.Lock()
-		if r, ok := e.memo[key]; ok {
+		if r, ok := e.memo[cfg]; ok {
 			e.mu.Unlock()
 			e.met.MemoHits.Add(1)
 			return r, nil
 		}
-		wg, running := e.inflight[key]
+		wg, running := e.inflight[cfg]
 		if running {
 			e.mu.Unlock()
 			wg.Wait()
@@ -432,33 +342,29 @@ func (e *Engine[C]) EvaluateCtx(ctx context.Context, cfg C) (Result[C], error) {
 		}
 		wg = new(sync.WaitGroup)
 		wg.Add(1)
-		e.inflight[key] = wg
-		if key.kernel == KernelFused {
-			// One fused lead serves the whole coverage set: register the
-			// same in-flight entry for every covered configuration that is
-			// neither memoised nor already being replayed, in this same
-			// critical section, so concurrent evaluations of sibling
-			// configurations join this pass instead of leading their own.
-			keys := []simKey[C]{key}
-			for c := range e.fusedCfgs {
-				k := simKey[C]{cfg: c, kernel: KernelFused}
-				if k == key {
+		e.inflight[cfg] = wg
+		if slices.Contains(fuse, cfg) {
+			// One fused lead serves the whole set: register the same
+			// in-flight entry for every configuration that is neither
+			// memoised nor already being replayed, in this same critical
+			// section, so concurrent evaluations of sibling configurations
+			// join this pass instead of leading their own.
+			cfgs := []C{cfg}
+			for _, c := range fuse {
+				if _, ok := e.memo[c]; ok {
 					continue
 				}
-				if _, ok := e.memo[k]; ok {
+				if _, ok := e.inflight[c]; ok {
 					continue
 				}
-				if _, ok := e.inflight[k]; ok {
-					continue
-				}
-				e.inflight[k] = wg
-				keys = append(keys, k)
+				e.inflight[c] = wg
+				cfgs = append(cfgs, c)
 			}
 			e.mu.Unlock()
-			return e.leadFused(ctx, keys, wg)
+			return e.leadFused(ctx, cfgs, wg)
 		}
 		e.mu.Unlock()
-		return e.lead(ctx, key, wg)
+		return e.lead(ctx, cfg, wg)
 	}
 }
 
@@ -469,26 +375,27 @@ func (e *Engine[C]) EvaluateCtx(ctx context.Context, cfg C) (Result[C], error) {
 // fault can clear on the second reading.
 func (e *Engine[C]) Reevaluate(cfg C) Result[C] {
 	e.mu.Lock()
-	delete(e.memo, simKey[C]{cfg: cfg, kernel: e.kernelFor(cfg)})
+	delete(e.memo, cfg)
 	e.mu.Unlock()
 	return e.Evaluate(cfg)
 }
 
-// lead replays one key on behalf of every waiter and publishes the result.
-func (e *Engine[C]) lead(ctx context.Context, key simKey[C], wg *sync.WaitGroup) (Result[C], error) {
+// lead replays one configuration on behalf of every waiter and publishes
+// the result.
+func (e *Engine[C]) lead(ctx context.Context, cfg C, wg *sync.WaitGroup) (Result[C], error) {
 	defer func() {
 		e.mu.Lock()
-		delete(e.inflight, key)
+		delete(e.inflight, cfg)
 		e.mu.Unlock()
 		wg.Done()
 	}()
 	e.met.MemoMisses.Add(1)
 	if rec := e.rec(); rec.Enabled() {
-		rec.Record(obs.Event{Name: "engine.replay.start", Config: fmt.Sprint(key.cfg),
+		rec.Record(obs.Event{Name: "engine.replay.start", Config: fmt.Sprint(cfg),
 			Fields: []slog.Attr{slog.Int("accesses", len(e.accs))}})
 	}
 	t0 := time.Now()
-	r, err := e.replay(ctx, key)
+	r, err := e.replay(ctx, cfg)
 	if err == nil {
 		e.hist.ObserveSince(t0)
 	}
@@ -502,52 +409,52 @@ func (e *Engine[C]) lead(ctx context.Context, key simKey[C], wg *sync.WaitGroup)
 		if r.Err != nil {
 			fields = append(fields, slog.String("err", r.Err.Error()))
 		}
-		rec.Record(obs.Event{Name: "engine.replay.finish", Config: fmt.Sprint(key.cfg), Fields: fields})
+		rec.Record(obs.Event{Name: "engine.replay.finish", Config: fmt.Sprint(cfg), Fields: fields})
 	}
 	e.mu.Lock()
-	e.memo[key] = r
+	e.memo[cfg] = r
 	e.mu.Unlock()
 	return r, nil
 }
 
-// leadFused runs one fused pass on behalf of every configuration in keys
-// (keys[0] is the caller's own) and publishes every result. It counts as ONE
+// leadFused runs one fused pass on behalf of every configuration in cfgs
+// (cfgs[0] is the caller's own) and publishes every result. It counts as ONE
 // memo miss — the caller's Evaluate led one replay; the sibling results it
 // deposits are served to later calls as memo hits, preserving
 // hits+misses == completed-calls at any worker count.
-func (e *Engine[C]) leadFused(ctx context.Context, keys []simKey[C], wg *sync.WaitGroup) (Result[C], error) {
+func (e *Engine[C]) leadFused(ctx context.Context, cfgs []C, wg *sync.WaitGroup) (Result[C], error) {
 	defer func() {
 		e.mu.Lock()
-		for _, k := range keys {
-			delete(e.inflight, k)
+		for _, c := range cfgs {
+			delete(e.inflight, c)
 		}
 		e.mu.Unlock()
 		wg.Done()
 	}()
 	e.met.MemoMisses.Add(1)
 	if rec := e.rec(); rec.Enabled() {
-		rec.Record(obs.Event{Name: "engine.replay.start", Config: KernelFused,
-			Fields: []slog.Attr{slog.Int("accesses", len(e.accs)), slog.Int("configs", len(keys))}})
+		rec.Record(obs.Event{Name: "engine.replay.start", Config: "fused",
+			Fields: []slog.Attr{slog.Int("accesses", len(e.accs)), slog.Int("configs", len(cfgs))}})
 	}
 	t0 := time.Now()
-	results, err := e.fusedReplay(ctx, keys)
+	results, err := e.fusedReplay(ctx, cfgs)
 	if err != nil {
 		// Cancelled mid-pass: nothing is memoised; waiters loop and observe
 		// their own context, and a later call can complete the pass.
-		return Result[C]{Cfg: keys[0].cfg}, err
+		return Result[C]{Cfg: cfgs[0]}, err
 	}
 	e.hist.ObserveSince(t0)
 	if rec := e.rec(); rec.Enabled() {
-		fields := []slog.Attr{slog.Int("configs", len(keys)),
+		fields := []slog.Attr{slog.Int("configs", len(cfgs)),
 			slog.Float64("energy", results[0].Energy), slog.Float64("miss_rate", results[0].Stats.MissRate())}
 		if results[0].Err != nil {
 			fields = append(fields, slog.String("err", results[0].Err.Error()))
 		}
-		rec.Record(obs.Event{Name: "engine.replay.finish", Config: KernelFused, Fields: fields})
+		rec.Record(obs.Event{Name: "engine.replay.finish", Config: "fused", Fields: fields})
 	}
 	e.mu.Lock()
-	for i, k := range keys {
-		e.memo[k] = results[i]
+	for i, c := range cfgs {
+		e.memo[c] = results[i]
 	}
 	e.mu.Unlock()
 	return results[0], nil
@@ -557,14 +464,14 @@ func (e *Engine[C]) leadFused(ctx context.Context, keys []simKey[C], wg *sync.Wa
 // the returned error is reserved for context cancellation; a pass that
 // panicked on every attempt fails every covered configuration with the same
 // deterministic error.
-func (e *Engine[C]) fusedReplay(ctx context.Context, keys []simKey[C]) ([]Result[C], error) {
+func (e *Engine[C]) fusedReplay(ctx context.Context, cfgs []C) ([]Result[C], error) {
 	backoff := e.Retry.Backoff
 	var lastErr error
 	for attempt := 1; attempt <= e.Retry.attempts(); attempt++ {
 		if attempt > 1 {
 			e.met.Retries.Add(1)
 			if rec := e.rec(); rec.Enabled() {
-				rec.Record(obs.Event{Name: "engine.retry", Config: KernelFused,
+				rec.Record(obs.Event{Name: "engine.retry", Config: "fused",
 					Fields: []slog.Attr{slog.Int("attempt", attempt), slog.String("cause", lastErr.Error())}})
 			}
 			if backoff > 0 {
@@ -574,7 +481,7 @@ func (e *Engine[C]) fusedReplay(ctx context.Context, keys []simKey[C]) ([]Result
 				backoff *= 2
 			}
 		}
-		rs, err := e.fusedReplayOnce(ctx, keys)
+		rs, err := e.fusedReplayOnce(ctx, cfgs)
 		if err == nil {
 			return rs, nil
 		}
@@ -583,9 +490,9 @@ func (e *Engine[C]) fusedReplay(ctx context.Context, keys []simKey[C]) ([]Result
 		}
 		lastErr = err
 	}
-	out := make([]Result[C], len(keys))
-	for i, k := range keys {
-		out[i] = Result[C]{Cfg: k.cfg, Err: lastErr}
+	out := make([]Result[C], len(cfgs))
+	for i, c := range cfgs {
+		out[i] = Result[C]{Cfg: c, Err: lastErr}
 	}
 	return out, nil
 }
@@ -594,7 +501,7 @@ func (e *Engine[C]) fusedReplay(ctx context.Context, keys []simKey[C]) ([]Result
 // columnar stream in ctxCheckInterval blocks, then per-configuration drain
 // and pricing — the same accounting replayOnce applies per configuration,
 // reconstructed from the single pass. A panic is recovered into an error.
-func (e *Engine[C]) fusedReplayOnce(ctx context.Context, keys []simKey[C]) (rs []Result[C], err error) {
+func (e *Engine[C]) fusedReplayOnce(ctx context.Context, cfgs []C) (rs []Result[C], err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.met.Panics.Add(1)
@@ -616,14 +523,14 @@ func (e *Engine[C]) fusedReplayOnce(ctx context.Context, keys []simKey[C]) (rs [
 		}
 		k.ReplayColumns(e.cols.Slice(start, end))
 	}
-	rs = make([]Result[C], len(keys))
-	for i, key := range keys {
-		st := k.StatsOf(key.cfg)
+	rs = make([]Result[C], len(cfgs))
+	for i, cfg := range cfgs {
+		st := k.StatsOf(cfg)
 		if !e.model.NoDrain {
-			st.Writebacks += uint64(k.DirtyLinesOf(key.cfg))
+			st.Writebacks += uint64(k.DirtyLinesOf(cfg))
 		}
-		b := e.model.Price(key.cfg, st)
-		rs[i] = Result[C]{Cfg: key.cfg, Energy: b.Total(), Breakdown: b, Stats: st}
+		b := e.model.Price(cfg, st)
+		rs[i] = Result[C]{Cfg: cfg, Energy: b.Total(), Breakdown: b, Stats: st}
 	}
 	return rs, nil
 }
@@ -632,33 +539,33 @@ func (e *Engine[C]) fusedReplayOnce(ctx context.Context, keys []simKey[C]) (rs [
 // reserved for context cancellation; a replay that panicked on every
 // attempt comes back as a Result with Err set (and is memoised, keeping
 // deterministic fault plans deterministic).
-func (e *Engine[C]) replay(ctx context.Context, key simKey[C]) (Result[C], error) {
+func (e *Engine[C]) replay(ctx context.Context, cfg C) (Result[C], error) {
 	backoff := e.Retry.Backoff
 	var lastErr error
 	for attempt := 1; attempt <= e.Retry.attempts(); attempt++ {
 		if attempt > 1 {
 			e.met.Retries.Add(1)
 			if rec := e.rec(); rec.Enabled() {
-				rec.Record(obs.Event{Name: "engine.retry", Config: fmt.Sprint(key.cfg),
+				rec.Record(obs.Event{Name: "engine.retry", Config: fmt.Sprint(cfg),
 					Fields: []slog.Attr{slog.Int("attempt", attempt), slog.String("cause", lastErr.Error())}})
 			}
 			if backoff > 0 {
 				if err := sleepCtx(ctx, backoff); err != nil {
-					return Result[C]{Cfg: key.cfg}, err
+					return Result[C]{Cfg: cfg}, err
 				}
 				backoff *= 2
 			}
 		}
-		r, err := e.replayOnce(ctx, key)
+		r, err := e.replayOnce(ctx, cfg)
 		if err == nil {
 			return r, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return Result[C]{Cfg: key.cfg}, cerr
+			return Result[C]{Cfg: cfg}, cerr
 		}
 		lastErr = err
 	}
-	return Result[C]{Cfg: key.cfg, Err: lastErr}, nil
+	return Result[C]{Cfg: cfg, Err: lastErr}, nil
 }
 
 // sleepCtx waits out a retry backoff or returns ctx.Err() the moment the
@@ -693,15 +600,14 @@ type BatchReplayer interface {
 // replayOnce is the one replay loop in the repository: fresh cache, full
 // stream, drain, price. A panic anywhere in the simulator is recovered into
 // an error instead of killing the process.
-func (e *Engine[C]) replayOnce(ctx context.Context, key simKey[C]) (r Result[C], err error) {
-	cfg := key.cfg
+func (e *Engine[C]) replayOnce(ctx context.Context, cfg C) (r Result[C], err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.met.Panics.Add(1)
 			err = fmt.Errorf("engine: replay of %v panicked: %v", cfg, p)
 		}
 	}()
-	s := e.build(key)
+	s := e.build(cfg)
 	if br, ok := s.(BatchReplayer); ok {
 		for start := 0; start < len(e.accs); start += ctxCheckInterval {
 			if start > 0 {
@@ -741,11 +647,12 @@ func (e *Engine[C]) replayOnce(ctx context.Context, key simKey[C]) (r Result[C],
 // goroutines (non-positive means GOMAXPROCS). Results are returned in input
 // order and are bit-identical to a serial replay: each configuration's
 // simulation is independent and deterministic, so only the scheduling
-// changes with the worker count.
+// changes with the worker count. A default engine whose model provides
+// FusedBuild measures the request's covered configurations in one fused
+// pass, led by the first worker to miss the memo.
 func (e *Engine[C]) EvaluateAll(cfgs []C, workers int) []Result[C] {
-	return Parallel(len(cfgs), workers, func(i int) Result[C] {
-		return e.Evaluate(cfgs[i])
-	})
+	rs, _ := e.EvaluateAllCtx(context.Background(), cfgs, workers)
+	return rs
 }
 
 // EvaluateAllCtx is EvaluateAll under a context: a deadline or cancellation
@@ -754,8 +661,17 @@ func (e *Engine[C]) EvaluateAll(cfgs []C, workers int) []Result[C] {
 // the sweep — its failure is carried in that result's Err field — so one
 // bad way or one wedged counter costs one data point, not the whole sweep.
 func (e *Engine[C]) EvaluateAllCtx(ctx context.Context, cfgs []C, workers int) ([]Result[C], error) {
+	var fuse []C
+	if e.fuseBatch {
+		cov := e.coverage()
+		for _, c := range cfgs {
+			if slices.Contains(cov, c) {
+				fuse = append(fuse, c)
+			}
+		}
+	}
 	return ParallelErr(ctx, len(cfgs), workers, func(i int) (Result[C], error) {
-		return e.EvaluateCtx(ctx, cfgs[i])
+		return e.evaluate(ctx, cfgs[i], fuse)
 	})
 }
 

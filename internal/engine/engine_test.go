@@ -65,8 +65,7 @@ func TestEngineMemoisesAndSingleflights(t *testing.T) {
 		builds.Add(1)
 		return inner(cfg)
 	}
-	m.FastBuild = nil // the instrumented reference factory must be the one used
-	e := New(data, m)
+	e := New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	cfg := cache.BaseConfig()
 	const goroutines = 16
 	results := make([]Result[cache.Config], goroutines)

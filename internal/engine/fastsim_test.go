@@ -1,107 +1,82 @@
 package engine
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
 )
 
-// skewedSim wraps a simulator and inflates its reported misses, standing in
-// for a fast kernel whose results differ from the reference — exactly the
-// contamination the kernel-tagged memo key must keep out.
-type skewedSim struct{ Simulator }
-
-func (s skewedSim) Stats() cache.Stats {
-	st := s.Simulator.Stats()
-	st.Misses += 1_000_000
-	return st
-}
-
-// TestMemoKeySeparatesKernels pins the memo-key fix: results measured with
-// the fast kernel and the reference kernel live under distinct memo entries,
-// so flipping the kernel between evaluations replays instead of serving the
-// other kernel's (here: deliberately different) result.
-func TestMemoKeySeparatesKernels(t *testing.T) {
-	p := energy.DefaultParams()
-	data := dataStream(t, "crc", 10_000)
-	cfg := cache.BaseConfig()
-
-	m := Configurable(p)
-	inner := m.Build
-	m.FastBuild = func(c cache.Config) Simulator { return skewedSim{inner(c)} }
-
-	e := New(data, m)
-	SetFastSim(true)
-	t.Cleanup(func() { SetFastSim(true) })
-
-	fast1 := e.Evaluate(cfg)
-	SetFastSim(false)
-	ref1 := e.Evaluate(cfg)
-	if fast1.Stats.Misses == ref1.Stats.Misses {
-		t.Fatal("test harness broken: skewed fast kernel matched the reference")
-	}
-	if got := e.Counters().MemoMisses.Load(); got != 2 {
-		t.Errorf("two kernels caused %d replays, want 2 (one per kernel)", got)
-	}
-
-	// Each kernel's re-evaluation must come from its own memo slot.
-	SetFastSim(true)
-	fast2 := e.Evaluate(cfg)
-	SetFastSim(false)
-	ref2 := e.Evaluate(cfg)
-	if fast2 != fast1 || ref2 != ref1 {
-		t.Error("re-evaluations did not serve the matching kernel's memo entry")
-	}
-	if got := e.Counters().MemoMisses.Load(); got != 2 {
-		t.Errorf("memoised re-evaluations replayed: %d misses, want still 2", got)
-	}
-}
-
-// TestKernelForcingOptions pins WithFastSim/WithReferenceSim: a per-engine
-// option overrides the package flag in both directions, and Kernel reports
-// the active choice.
+// TestKernelForcingOptions pins the kernel selection each constructor fixes:
+// a default engine replays a single evaluation through the fast kernel and
+// serves a cold 27-configuration batch from one fused pass; WithFastSim and
+// WithReferenceSim pin one per-configuration kernel for batches too;
+// WithFusedSweep fuses single evaluations; a model without FastBuild
+// replays through the reference simulator; and a model without FusedBuild
+// (a fault-wrapped one) never fuses.
 func TestKernelForcingOptions(t *testing.T) {
 	p := energy.DefaultParams()
 	data := dataStream(t, "crc", 5_000)
-	t.Cleanup(func() { SetFastSim(true) })
+	all := cache.AllConfigs()
+	n := int64(len(all))
 
-	m := Configurable(p)
-	var refBuilds, fastBuilds int
-	innerRef, innerFast := m.Build, m.FastBuild
-	m.Build = func(c cache.Config) Simulator { refBuilds++; return innerRef(c) }
-	m.FastBuild = func(c cache.Config) Simulator { fastBuilds++; return innerFast(c) }
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		strip func(*Model[cache.Config])
+		// Reference builds, fast builds and memo misses for one cold
+		// Evaluate, then for one cold EvaluateAll of all 27 configurations.
+		single, batch [3]int64
+	}{
+		{"default", nil, nil, [3]int64{0, 1, 1}, [3]int64{0, 0, 1}},
+		{"fast", []Option{WithFastSim()}, nil, [3]int64{0, 1, 1}, [3]int64{0, n, n}},
+		{"reference", []Option{WithReferenceSim()}, nil, [3]int64{1, 0, 1}, [3]int64{n, 0, n}},
+		{"fused", []Option{WithFusedSweep()}, nil, [3]int64{0, 0, 1}, [3]int64{0, 0, 1}},
+		{"no-fastbuild", nil, func(m *Model[cache.Config]) { m.FastBuild = nil }, [3]int64{1, 0, 1}, [3]int64{0, 0, 1}},
+		{"no-fusedbuild", nil, func(m *Model[cache.Config]) { m.FusedBuild = nil }, [3]int64{0, 1, 1}, [3]int64{0, n, n}},
+		{"no-fusedbuild-fused", []Option{WithFusedSweep()}, func(m *Model[cache.Config]) { m.FusedBuild = nil }, [3]int64{0, 1, 1}, [3]int64{0, n, n}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var refBuilds, fastBuilds atomic.Int64
+			m := Configurable(p)
+			innerRef, innerFast := m.Build, m.FastBuild
+			m.Build = func(c cache.Config) Simulator { refBuilds.Add(1); return innerRef(c) }
+			m.FastBuild = func(c cache.Config) Simulator { fastBuilds.Add(1); return innerFast(c) }
+			if tc.strip != nil {
+				tc.strip(&m)
+			}
+			check := func(what string, e *Engine[cache.Config], want [3]int64) {
+				t.Helper()
+				got := [3]int64{refBuilds.Load(), fastBuilds.Load(), int64(e.Counters().MemoMisses.Load())}
+				if got != want {
+					t.Errorf("%s: ref builds, fast builds, memo misses = %v, want %v", what, got, want)
+				}
+				refBuilds.Store(0)
+				fastBuilds.Store(0)
+			}
+			e := New(data, m, tc.opts...)
+			e.Evaluate(cache.BaseConfig())
+			check("single Evaluate", e, tc.single)
+			e = New(data, m, tc.opts...)
+			e.EvaluateAll(all, 4)
+			check("batch EvaluateAll", e, tc.batch)
+		})
+	}
+}
 
-	SetFastSim(true)
-	forced := New(data, m, WithReferenceSim())
-	if got := forced.Kernel(); got != KernelReference {
-		t.Fatalf("WithReferenceSim engine reports kernel %q", got)
+// TestGenericNeverFuses pins that the conventional-cache model, which has no
+// fused kernel, replays a batch one configuration at a time.
+func TestGenericNeverFuses(t *testing.T) {
+	p := energy.DefaultParams()
+	data := dataStream(t, "crc", 5_000)
+	var cfgs []cache.GenericConfig
+	for size := 1 << 10; size <= 1<<14; size *= 2 {
+		cfgs = append(cfgs, cache.GenericConfig{SizeBytes: size, Ways: 1, LineBytes: 32})
 	}
-	forced.Evaluate(cache.BaseConfig())
-	if refBuilds != 1 || fastBuilds != 0 {
-		t.Errorf("WithReferenceSim built ref=%d fast=%d, want 1/0", refBuilds, fastBuilds)
-	}
-
-	SetFastSim(false)
-	refBuilds, fastBuilds = 0, 0
-	forcedFast := New(data, m, WithFastSim())
-	if got := forcedFast.Kernel(); got != KernelFast {
-		t.Fatalf("WithFastSim engine reports kernel %q", got)
-	}
-	forcedFast.Evaluate(cache.BaseConfig())
-	if refBuilds != 0 || fastBuilds != 1 {
-		t.Errorf("WithFastSim built ref=%d fast=%d, want 0/1", refBuilds, fastBuilds)
-	}
-
-	// Without an option the package flag decides; without a FastBuild the
-	// engine is reference no matter what.
-	SetFastSim(true)
-	if got := New(data, m).Kernel(); got != KernelFast {
-		t.Errorf("flag-on engine reports kernel %q", got)
-	}
-	m2 := Configurable(p)
-	m2.FastBuild = nil
-	if got := New(data, m2).Kernel(); got != KernelReference {
-		t.Errorf("engine without FastBuild reports kernel %q", got)
+	e := New(data, Generic(p))
+	e.EvaluateAll(cfgs, 4)
+	if got := e.Counters().MemoMisses.Load(); got != uint64(len(cfgs)) {
+		t.Errorf("Generic batch of %d configurations led %d replays", len(cfgs), got)
 	}
 }

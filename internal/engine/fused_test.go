@@ -11,8 +11,7 @@ import (
 
 // skewedFused wraps the fused kernel and inflates every configuration's
 // reported misses, standing in for a fused pass whose results differ from
-// the per-configuration kernels — the contamination the kernel-tagged memo
-// key must keep out of the fast and reference slots.
+// the per-configuration kernels — so a result shows which kernel measured it.
 type skewedFused struct{ FusedReplayer[cache.Config] }
 
 func (s skewedFused) StatsOf(cfg cache.Config) cache.Stats {
@@ -21,66 +20,46 @@ func (s skewedFused) StatsOf(cfg cache.Config) cache.Stats {
 	return st
 }
 
-// TestMemoKeySeparatesFusedKernel pins the memo-key property for the third
-// kernel tag: results measured by the fused pass live under their own memo
-// entries, so fused results never satisfy fast or reference evaluations (and
-// vice versa) — flipping the flags between evaluations replays instead of
-// serving another kernel's (here: deliberately different) result.
+// TestMemoKeySeparatesFusedKernel pins that the fused pass serves exactly
+// the calls its engine's construction selects it for: a default engine's
+// batch request, never its single evaluations, and nothing on an engine
+// pinned WithFastSim or WithReferenceSim; WithFusedSweep fuses single
+// evaluations too.
 func TestMemoKeySeparatesFusedKernel(t *testing.T) {
 	p := energy.DefaultParams()
 	data := dataStream(t, "crc", 10_000)
 	cfg := cache.BaseConfig()
+	all := cache.AllConfigs()
 
 	m := Configurable(p)
 	inner := m.FusedBuild
 	m.FusedBuild = func() FusedReplayer[cache.Config] { return skewedFused{inner()} }
+	ref := New(data, Configurable(p), WithReferenceSim()).Evaluate(cfg)
+	skewed := func(r Result[cache.Config]) bool { return r.Stats.Misses >= 1_000_000 }
 
+	if r := New(data, m).Evaluate(cfg); skewed(r) || r.Stats != ref.Stats {
+		t.Errorf("default engine's single Evaluate measured %+v, want the per-config kernels' %+v", r.Stats, ref.Stats)
+	}
+	if r := New(data, m, WithFusedSweep()).Evaluate(cfg); !skewed(r) {
+		t.Errorf("WithFusedSweep engine's single Evaluate measured %+v, want the fused kernel's", r.Stats)
+	}
 	e := New(data, m)
-	SetFastSim(true)
-	SetFusedSweep(true)
-	t.Cleanup(func() { SetFastSim(true); SetFusedSweep(false) })
-
-	fused1 := e.Evaluate(cfg)
-	SetFusedSweep(false)
-	fast1 := e.Evaluate(cfg)
-	SetFastSim(false)
-	ref1 := e.Evaluate(cfg)
-	if fused1.Stats.Misses == fast1.Stats.Misses || fused1.Stats.Misses == ref1.Stats.Misses {
-		t.Fatal("test harness broken: skewed fused kernel matched a per-config kernel")
+	for _, r := range e.EvaluateAll(all, 4) {
+		if !skewed(r) {
+			t.Fatalf("default engine's EvaluateAll served %v from a per-config kernel", r.Cfg)
+		}
 	}
-	if fast1.Stats != ref1.Stats {
-		t.Fatalf("fast and reference kernels diverged:\n fast %+v\n ref  %+v", fast1.Stats, ref1.Stats)
+	// A later single evaluation of a configuration the batch measured reads
+	// the shared memo.
+	if r := e.Evaluate(cfg); !skewed(r) || e.Counters().MemoMisses.Load() != 1 {
+		t.Errorf("post-batch Evaluate replayed (misses %d) or missed the memo", e.Counters().MemoMisses.Load())
 	}
-	if got := e.Counters().MemoMisses.Load(); got != 3 {
-		t.Errorf("three kernels caused %d replays, want 3 (one per kernel)", got)
-	}
-
-	// Each kernel's re-evaluation must come from its own memo slot.
-	SetFusedSweep(true)
-	SetFastSim(true)
-	fused2 := e.Evaluate(cfg)
-	SetFusedSweep(false)
-	fast2 := e.Evaluate(cfg)
-	SetFastSim(false)
-	ref2 := e.Evaluate(cfg)
-	if fused2 != fused1 || fast2 != fast1 || ref2 != ref1 {
-		t.Error("re-evaluations did not serve the matching kernel's memo entry")
-	}
-	if got := e.Counters().MemoMisses.Load(); got != 3 {
-		t.Errorf("memoised re-evaluations replayed: %d misses, want still 3", got)
-	}
-
-	// WithFusedSweep pins the fused pass regardless of the package flags;
-	// WithFastSim/WithReferenceSim pin away from it even with the flag set.
-	forced := New(data, m, WithFusedSweep())
-	if got := forced.Evaluate(cfg).Stats.Misses; got != fused1.Stats.Misses {
-		t.Errorf("WithFusedSweep engine measured %d misses, want the fused kernel's %d", got, fused1.Stats.Misses)
-	}
-	SetFusedSweep(true)
-	SetFastSim(true)
-	pinnedFast := New(data, m, WithFastSim())
-	if got := pinnedFast.Evaluate(cfg).Stats; got != fast1.Stats {
-		t.Errorf("WithFastSim engine under fused flag measured %+v, want the fast kernel's %+v", got, fast1.Stats)
+	for _, opt := range []Option{WithFastSim(), WithReferenceSim()} {
+		for _, r := range New(data, m, opt).EvaluateAll(all, 4) {
+			if skewed(r) {
+				t.Fatalf("pinned per-config engine served %v from the fused kernel", r.Cfg)
+			}
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // priced with the calibrated Equation 1 parameters — the Table 1 replay
 // methodology (full-benchmark simulation per configuration, drain included).
 // FastBuild carries the fastsim kernel, bit-identical by the differential
-// oracle; the engine picks it per the FastSim flag and constructor options.
-// FusedBuild carries the single-pass 27-configuration kernel, opt-in via
-// the FusedSweep flag / WithFusedSweep and held to the same oracle.
+// oracle, which serves single evaluations. FusedBuild carries the
+// single-pass 27-configuration kernel, held to the same oracle, which
+// serves every batch request of a default engine.
 func Configurable(p *energy.Params) Model[cache.Config] {
 	return Model[cache.Config]{
 		Build:      func(cfg cache.Config) Simulator { return cache.MustConfigurable(cfg) },

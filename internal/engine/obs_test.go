@@ -12,13 +12,13 @@ import (
 	"selftune/internal/workload"
 )
 
-func obsTestEngine(n int) *Engine[cache.Config] {
+func obsTestEngine(n int, opts ...Option) *Engine[cache.Config] {
 	prof, ok := workload.ByName("jpeg")
 	if !ok {
 		prof = workload.Profiles()[0]
 	}
 	_, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
-	return New(data, Configurable(energy.DefaultParams()))
+	return New(data, Configurable(energy.DefaultParams()), opts...)
 }
 
 // Memo hit/miss counters must be exact — every Evaluate lands exactly one
@@ -27,7 +27,7 @@ func obsTestEngine(n int) *Engine[cache.Config] {
 func TestMemoCountersExactAndWorkerInvariant(t *testing.T) {
 	cfgs := cache.AllConfigs()
 	for _, workers := range []int{1, 4, 16} {
-		e := obsTestEngine(6_000)
+		e := obsTestEngine(6_000, WithFastSim())
 		e.EvaluateAll(cfgs, workers)
 		if got := e.Counters().MemoMisses.Load(); got != uint64(len(cfgs)) {
 			t.Fatalf("workers=%d: first sweep made %d misses, want %d", workers, got, len(cfgs))
@@ -47,23 +47,34 @@ func TestMemoCountersExactAndWorkerInvariant(t *testing.T) {
 }
 
 // Duplicate configurations in one sweep must still count exactly: distinct
-// configurations miss once each, every other request is a hit — whether the
-// duplicate waited on the in-flight lead or found the memo later.
+// configurations miss once each on the per-configuration kernel, and the
+// whole batch misses once on the default engine's fused pass; every other
+// request is a hit — whether the duplicate waited on the in-flight lead or
+// found the memo later.
 func TestMemoCountersWithDuplicates(t *testing.T) {
 	base := cache.AllConfigs()[:9]
 	var cfgs []cache.Config
 	for i := 0; i < 4; i++ {
 		cfgs = append(cfgs, base...)
 	}
-	for _, workers := range []int{1, 4, 16} {
-		e := obsTestEngine(4_000)
-		e.EvaluateAll(cfgs, workers)
-		hits, misses := e.Counters().MemoHits.Load(), e.Counters().MemoMisses.Load()
-		if misses != uint64(len(base)) {
-			t.Fatalf("workers=%d: %d misses, want %d (one per distinct config)", workers, misses, len(base))
-		}
-		if hits+misses != uint64(len(cfgs)) {
-			t.Fatalf("workers=%d: hits %d + misses %d != %d calls", workers, hits, misses, len(cfgs))
+	for _, tc := range []struct {
+		name       string
+		opts       []Option
+		wantMisses uint64
+	}{
+		{"fast", []Option{WithFastSim()}, uint64(len(base))},
+		{"default", nil, 1},
+	} {
+		for _, workers := range []int{1, 4, 16} {
+			e := obsTestEngine(4_000, tc.opts...)
+			e.EvaluateAll(cfgs, workers)
+			hits, misses := e.Counters().MemoHits.Load(), e.Counters().MemoMisses.Load()
+			if misses != tc.wantMisses {
+				t.Fatalf("%s workers=%d: %d misses, want %d", tc.name, workers, misses, tc.wantMisses)
+			}
+			if hits+misses != uint64(len(cfgs)) {
+				t.Fatalf("%s workers=%d: hits %d + misses %d != %d calls", tc.name, workers, hits, misses, len(cfgs))
+			}
 		}
 	}
 }
@@ -110,11 +121,11 @@ func TestReplayHistogramZeroAllocObserve(t *testing.T) {
 // configurations that actually replayed.
 func TestEngineEventsMatchReplays(t *testing.T) {
 	cfgs := cache.AllConfigs()
-	silent := obsTestEngine(5_000)
+	silent := obsTestEngine(5_000, WithFastSim())
 	want := silent.EvaluateAll(cfgs, 4)
 
 	var buf bytes.Buffer
-	loud := obsTestEngine(5_000)
+	loud := obsTestEngine(5_000, WithFastSim())
 	loud.Rec = obs.NewJSONL(&buf)
 	got := loud.EvaluateAll(cfgs, 4)
 	for i := range want {

@@ -10,6 +10,7 @@ import (
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
+	"selftune/internal/obs"
 )
 
 // crashSim panics after a fixed number of accesses — a transient simulator
@@ -52,8 +53,7 @@ func TestPanicBecomesPerConfigError(t *testing.T) {
 		}
 		return s
 	}
-	m.FastBuild = nil // the instrumented reference factory must be the one used
-	e := New(data, m)
+	e := New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	results, err := e.EvaluateAllCtx(context.Background(), cache.AllConfigs(), 4)
 	if err != nil {
 		t.Fatalf("sweep aborted: %v", err)
@@ -100,8 +100,7 @@ func TestRetryRecoversTransientCrash(t *testing.T) {
 			}
 			return s
 		}
-		m.FastBuild = nil // the instrumented reference factory must be the one used
-		return New(data, m)
+		return New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	}
 
 	e := makeEngine(1)
@@ -143,9 +142,8 @@ func TestEvaluateCtxCancellation(t *testing.T) {
 		t.Fatalf("cancelled evaluate returned %v, want context.Canceled", err)
 	}
 
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Microsecond)
+	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel2()
-	time.Sleep(time.Millisecond)
 	if _, err := e.EvaluateCtx(ctx2, cfg); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline evaluate returned %v, want DeadlineExceeded", err)
 	}
@@ -200,8 +198,7 @@ func TestReevaluateDropsMemo(t *testing.T) {
 		builds.Add(1)
 		return inner(c)
 	}
-	m.FastBuild = nil // the instrumented reference factory must be the one used
-	e := New(data, m)
+	e := New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	cfg := cache.BaseConfig()
 	first := e.Evaluate(cfg)
 	second := e.Reevaluate(cfg)
@@ -226,20 +223,19 @@ func TestBackoffCancellation(t *testing.T) {
 		// either replaying briefly or backing off.
 		return &crashSim{inner: inner(cfg), after: 1}
 	}
-	m.FastBuild = nil // the instrumented reference factory must be the one used
-	e := New(data, m)
+	e := New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
 	e.Retry = RetryPolicy{Attempts: 5, Backoff: time.Hour}
-
+	// The retry event is recorded just before the backoff sleep starts, so
+	// cancelling from it lands in the backoff.
 	ctx, cancel := context.WithCancel(context.Background())
+	e.Rec = onEvent{name: "engine.retry", fn: cancel}
+
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
 		_, err := e.EvaluateCtx(ctx, cache.BaseConfig())
 		done <- err
 	}()
-	// Give the first attempt time to crash and the backoff to start.
-	time.Sleep(20 * time.Millisecond)
-	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -250,5 +246,18 @@ func TestBackoffCancellation(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation never interrupted the retry backoff")
+	}
+}
+
+// onEvent is a recorder that calls fn on every event named name.
+type onEvent struct {
+	name string
+	fn   func()
+}
+
+func (o onEvent) Enabled() bool { return true }
+func (o onEvent) Record(ev obs.Event) {
+	if ev.Name == o.name {
+		o.fn()
 	}
 }

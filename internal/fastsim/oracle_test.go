@@ -412,3 +412,50 @@ func TestOracleFusedTunerTrajectory(t *testing.T) {
 		}
 	}
 }
+
+// TestOracleDefaultTable1Path pins the kernel mix a default engine serves
+// Table 1 with — the exhaustive sweep from one fused pass, the heuristic and
+// the base evaluation from the per-configuration fast kernel, all sharing
+// one memo — against a reference-pinned engine. Both call orders run, so
+// each of the heuristic and the exhaustive sweep is checked both reading
+// the other's memoised results and measuring cold.
+func TestOracleDefaultTable1Path(t *testing.T) {
+	p := energy.DefaultParams()
+	profiles := []string{"crc", "adpcm", "mpeg2", "g721", "jpeg", "ucbqsort"}
+	if testing.Short() {
+		profiles = profiles[:2]
+	}
+	all := cache.AllConfigs()
+	type outcome struct {
+		heuristic, exhaustive tuner.SearchResult
+		base                  tuner.EvalResult
+	}
+	run := func(ev tuner.Evaluator, exhaustiveFirst bool) (o outcome) {
+		if exhaustiveFirst {
+			o.exhaustive = tuner.ExhaustiveWorkers(ev, all, 4)
+			o.heuristic = tuner.SearchPaper(ev)
+		} else {
+			o.heuristic = tuner.SearchPaper(ev)
+			o.exhaustive = tuner.ExhaustiveWorkers(ev, all, 4)
+		}
+		o.base = ev.Evaluate(cache.BaseConfig())
+		return o
+	}
+	for _, name := range profiles {
+		prof, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("unknown profile %q", name)
+		}
+		inst, data := trace.Split(trace.NewSliceSource(prof.Generate(80_000)))
+		for half, s := range map[string][]trace.Access{"I": inst[:min(len(inst), 40_000)], "D": data[:min(len(data), 40_000)]} {
+			want := run(tuner.EngineEvaluator{Eng: engine.New(s, engine.Configurable(p), engine.WithReferenceSim())}, false)
+			for _, exhaustiveFirst := range []bool{false, true} {
+				got := run(tuner.NewTraceEvaluator(s, p), exhaustiveFirst)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s-%s exhaustive-first=%v: default engine diverged from reference:\n got  %+v\n want %+v",
+						name, half, exhaustiveFirst, got, want)
+				}
+			}
+		}
+	}
+}

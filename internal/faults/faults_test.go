@@ -22,6 +22,26 @@ func dataStream(t testing.TB, name string, n int) []trace.Access {
 	return data
 }
 
+// TestWrappedModelsNeverFuse pins that a fault-armed model replays a batch
+// one configuration at a time: a default engine serves batches from one
+// fused pass, which can realise neither per-(configuration, reading)
+// injection nor a stuck-off bank's degraded configuration.
+func TestWrappedModelsNeverFuse(t *testing.T) {
+	p := energy.DefaultParams()
+	accs := dataStream(t, "crc", 5_000)
+	configs := cache.AllConfigs()
+	for name, m := range map[string]engine.Model[cache.Config]{
+		"measurement": Wrap(engine.Configurable(p), &Measurement{Seed: 42}),
+		"stuck-off":   StructuralPlan{StuckOff: 1, StuckOn: -1}.Wrap(engine.Configurable(p), p),
+	} {
+		e := engine.New(accs, m)
+		e.EvaluateAll(configs, 4)
+		if got := e.Counters().MemoMisses.Load(); got != uint64(len(configs)) {
+			t.Errorf("%s: batch of %d configurations led %d replays, want one each", name, len(configs), got)
+		}
+	}
+}
+
 // TestInjectorsAtRateZeroAreIdentity is the pass-through property: every
 // injector family at rate zero (even with a non-zero seed) is bit-identical
 // to no injector at all.
