@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race race-stress vet bench bench-json check fuzz obs-smoke fleet-smoke chaos-smoke perfbench-smoke
+.PHONY: build test race race-stress vet bench bench-json bench-smoke check fuzz obs-smoke fleet-smoke chaos-smoke perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,11 @@ vet:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$'
+
+# One iteration of the serving path's micro-benchmarks (ingest decoder and
+# settled kernel, ns/access), so they keep compiling and running.
+bench-smoke:
+	$(GO) test -run='^$$' -bench='^(BenchmarkStreamDecoderFeed|BenchmarkKernelUnified)$$' -benchtime=1x .
 
 # Fast-kernel vs reference throughput on the standard sweep shapes,
 # recorded machine-readably (see cmd/stcbench; BENCH_10.json is committed).

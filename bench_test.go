@@ -9,6 +9,7 @@
 package selftune_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
+	"selftune/internal/fastsim"
 	"selftune/internal/sim"
 	"selftune/internal/trace"
 	"selftune/internal/tuner"
@@ -489,6 +491,93 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 				// cannot short-circuit the replays being timed.
 				tuner.ExhaustiveWorkers(tuner.NewTraceEvaluator(data, p), configs, w)
 			}
+		})
+	}
+}
+
+// servingStreams are the fleet-steady tenants' programs (unified I+D
+// streams) at their default seeds, each with the configuration a
+// daemon.Session settles on for the first million accesses. Only ucbqsort
+// and jpeg settle single-way: fleet traffic mostly serves multi-way.
+var servingStreams = []struct{ profile, cfg string }{
+	{"crc", "8K_2W_16B_P"},
+	{"mpeg2", "8K_2W_16B"},
+	{"ucbqsort", "4K_1W_16B"},
+	{"blit", "8K_2W_32B_P"},
+	{"adpcm", "8K_2W_32B_P"},
+	{"g721", "8K_4W_16B"},
+	{"jpeg", "8K_1W_32B"},
+	{"fir", "4K_2W_16B_P"},
+}
+
+const servingAccesses = 200_000
+
+func servingTrace(b *testing.B, name string) []trace.Access {
+	prof, ok := workload.ByName(name)
+	if !ok {
+		b.Fatalf("unknown profile %q", name)
+	}
+	return prof.Generate(servingAccesses)
+}
+
+// BenchmarkStreamDecoderFeed times the ingest decoder on the serving
+// streams' wire bytes, fed in the fleet client's 64 KB data-frame payloads
+// into a reused access buffer.
+func BenchmarkStreamDecoderFeed(b *testing.B) {
+	const chunk = 64 << 10
+	var wire [][]byte
+	n := 0
+	for _, s := range servingStreams {
+		var buf bytes.Buffer
+		accs := servingTrace(b, s.profile)
+		if err := trace.Encode(&buf, accs); err != nil {
+			b.Fatal(err)
+		}
+		wire = append(wire, buf.Bytes())
+		n += len(accs)
+	}
+	var dst []trace.Access
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range wire {
+			var d trace.StreamDecoder
+			for off := 0; off < len(w); off += chunk {
+				var err error
+				if dst, err = d.Feed(w[off:min(off+chunk, len(w))], dst[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := d.Finish(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/access")
+}
+
+// BenchmarkKernelUnified times the settled serving loop: each serving
+// stream replayed through a warm fastsim.Kernel at its settled
+// configuration, one 4096-access block per call as a daemon steps it.
+func BenchmarkKernelUnified(b *testing.B) {
+	const block = 4096
+	for _, s := range servingStreams {
+		cfg, err := cache.ParseConfig(s.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		accs := servingTrace(b, s.profile)
+		b.Run(s.profile+"/"+s.cfg, func(b *testing.B) {
+			k := fastsim.Must(cfg)
+			k.ReplayBatch(accs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for off := 0; off < len(accs); off += block {
+					k.ReplayBatch(accs[off:min(off+block, len(accs))])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
 		})
 	}
 }

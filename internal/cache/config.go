@@ -33,6 +33,9 @@ const (
 	BankRows = BankBytes / PhysLineBytes // 128
 	// MaxSizeBytes is the full-capacity total size.
 	MaxSizeBytes = NumBanks * BankBytes // 8192
+	// MaxBlocks bounds the physical block addresses: every 32-bit address
+	// addr lies in block addr>>4 < MaxBlocks.
+	MaxBlocks = 1 << (32 - 4)
 )
 
 // SizeValues, AssocValues and LineValues list the tunable parameter values in

@@ -82,6 +82,9 @@ func RestoreConfigurable(img Image) (*Configurable, error) {
 		if f.Bank < 0 || f.Bank >= NumBanks || f.Row < 0 || f.Row >= BankRows {
 			return nil, fmt.Errorf("cache: restore: frame (%d,%d) outside the %dx%d array", f.Bank, f.Row, NumBanks, BankRows)
 		}
+		if f.Block >= MaxBlocks {
+			return nil, fmt.Errorf("cache: restore: block %#x beyond the 32-bit address space", f.Block)
+		}
 		if row(f.Block) != f.Row {
 			return nil, fmt.Errorf("cache: restore: block %#x cannot reside in row %d", f.Block, f.Row)
 		}

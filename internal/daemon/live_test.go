@@ -259,7 +259,7 @@ func TestOnlineReplayMatchesAccess(t *testing.T) {
 	caches := map[string]func() imagingCache{
 		"configurable": func() imagingCache { return cache.MustConfigurable(cache.MinConfig()) },
 		"kernel": func() imagingCache {
-			k, err := fastsim.NewLive(cache.MinConfig())
+			k, err := fastsim.New(cache.MinConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,7 +87,7 @@ type Session struct {
 func NewSession(opts Options) *Session {
 	opts.fill()
 	s := &Session{opts: opts, rec: obs.OrNop(opts.Rec), budget: opts.BudgetBytes}
-	k, err := fastsim.NewLive(cache.MinConfig())
+	k, err := fastsim.New(cache.MinConfig())
 	if err != nil {
 		panic("daemon: " + err.Error()) // MinConfig is valid by construction
 	}

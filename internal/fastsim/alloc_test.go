@@ -23,26 +23,26 @@ func TestReplayBatchZeroAllocs(t *testing.T) {
 			t.Errorf("four-bank kernel %v: %.0f allocs/op in ReplayBatch, want 0", cfg, n)
 		}
 	}
-	// A live kernel serves as allocation-free after in-place
+	// A New kernel serves as allocation-free after in-place
 	// reconfiguration, and reconfiguring allocates nothing either.
-	live, err := fastsim.NewLive(cache.MinConfig())
+	k, err := fastsim.New(cache.MinConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := live.Config()
+	prev := k.Config()
 	for _, cfg := range cache.AllConfigs() {
 		if n := testing.AllocsPerRun(10, func() {
-			if err := live.SetConfig(prev); err != nil {
+			if err := k.SetConfig(prev); err != nil {
 				t.Fatal(err)
 			}
-			if err := live.SetConfig(cfg); err != nil {
+			if err := k.SetConfig(cfg); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("live kernel %v -> %v: %.0f allocs/op in SetConfig, want 0", prev, cfg, n)
+			t.Errorf("kernel %v -> %v: %.0f allocs/op in SetConfig, want 0", prev, cfg, n)
 		}
-		if n := testing.AllocsPerRun(10, func() { live.ReplayBatch(accs) }); n != 0 {
-			t.Errorf("reconfigured live kernel %v: %.0f allocs/op in ReplayBatch, want 0", cfg, n)
+		if n := testing.AllocsPerRun(10, func() { k.ReplayBatch(accs) }); n != 0 {
+			t.Errorf("reconfigured kernel %v: %.0f allocs/op in ReplayBatch, want 0", cfg, n)
 		}
 		prev = cfg
 	}

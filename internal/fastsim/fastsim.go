@@ -1,9 +1,13 @@
 // Package fastsim provides allocation-free replay kernels for the cache
 // simulators: a four-bank configurable-cache kernel covering the paper's 27
-// configurations and a generic set-associative kernel covering the Figure 2
-// sweep geometries. The kernels are drop-in engine.Simulator implementations
-// that additionally expose a batched access loop (ReplayBatch), which the
-// replay engine uses to eliminate per-access interface dispatch.
+// configurations, a fused kernel evaluating all 27 in one pass, and a
+// generic set-associative kernel covering the Figure 2 sweep geometries.
+// The kernels are drop-in engine.Simulator implementations that
+// additionally expose a batched access loop (ReplayBatch), which the replay
+// engine uses to eliminate per-access interface dispatch. The four-bank
+// Kernel is also the live cache every tuning session serves through: one
+// kernel kind, reconfigured in place (SetConfig) and checkpointed
+// (Image, Restore) with the reference cache's semantics and bytes.
 //
 // The kernels are bit-identical to the reference simulators by construction
 // and by proof: every per-access decision — candidate-bank order, the
@@ -13,7 +17,9 @@
 // materialisation) hoisted into tables precomputed at construction. The
 // differential oracle (oracle_test.go) and the FuzzFastSimVsReference fuzz
 // target hold the kernels to identical cache.Stats, energies and tuner
-// trajectories across all 27 configurations; a kernel change that breaks
+// trajectories across all 27 configurations, and the live-kernel oracle
+// (live_test.go, FuzzLiveKernelVsReference) extends that to in-place
+// reconfiguration and image round-trips; a kernel change that breaks
 // bit-identity fails those tests, so the fast path is only allowed to exist
 // while it is indistinguishable from the reference.
 package fastsim
@@ -31,6 +37,10 @@ const rowShift = 7
 // construction: bank < NumBanks, row < BankRows).
 const frameMask = cache.NumBanks*cache.BankRows - 1
 
+// noFrame is the set-associative probe's no-match result. Its bank,
+// noFrame>>rowShift, equals no prediction.
+const noFrame = ^uint32(0)
+
 // noPrediction marks an untrained way-predictor entry (cache.Configurable's
 // sentinel).
 const noPrediction = 0xFF
@@ -44,16 +54,17 @@ type frame struct {
 	dirty   bool
 }
 
-// Kernel is the fast replay kernel for the four-bank configurable cache.
-// A kernel built by New replays one fixed configuration from cold — the
-// engine's per-configuration replay contract. A kernel built by NewLive or
-// Restore is the live cache a tuning session serves through: SetConfig
-// reconfigures it in place with the reference cache's §3.3 semantics, and
-// Image/Restore round-trip it through the same cache.Image bytes. Neither
-// kind supports a victim buffer (no live session or engine model attaches
-// one). The zero value is not usable.
+// Kernel is the fast replay kernel for the four-bank configurable cache:
+// the engine replays one configuration from cold through it, and a tuning
+// session serves through it as its live cache — SetConfig reconfigures it in
+// place with the reference cache's §3.3 semantics, and Image/Restore
+// round-trip it through the same cache.Image bytes. It does not support a
+// victim buffer (no live session or engine model attaches one). The zero
+// value is not usable.
 type Kernel struct {
 	// frames is the flat bank-major frame array: frames[bank<<7|row].
+	// Every invalid frame holds invalidBlock, which no real block equals,
+	// so a tag compare alone decides a hit.
 	frames [cache.NumBanks * cache.BankRows]frame
 	// pred is the MRU way predictor, indexed by logical set.
 	pred  [2 * cache.BankRows]uint8
@@ -80,35 +91,25 @@ type Kernel struct {
 	// activeBanks bounds the DirtyLines scan.
 	activeBanks int
 
-	// live marks a reconfigurable kernel (NewLive, Restore). Its loops keep
-	// the LRU clock and timestamps in every configuration, because images
-	// record both and a later reconfiguration to a multi-way configuration
-	// reads them. dm selects replayDM, the clock-free single-way loop, which
-	// only fixed-configuration kernels may take.
-	live bool
-	dm   bool
+	// runBlock is the block of the previous access in the set-associative
+	// loop and runFrame the frame that access left it in; runBlock is
+	// invalidBlock after construction and reconfiguration (see
+	// ReplayBatch).
+	runBlock uint32
+	runFrame uint32
 }
 
-// New returns a cold fixed-configuration kernel in configuration cfg.
-func New(cfg cache.Config) (*Kernel, error) { return newKernel(cfg, false) }
-
-// NewLive returns a cold reconfigurable kernel in configuration cfg: the
-// fast twin of cache.NewConfigurable that a tuning session serves through.
-func NewLive(cfg cache.Config) (*Kernel, error) { return newKernel(cfg, true) }
-
-func newKernel(cfg cache.Config, live bool) (*Kernel, error) {
+// New returns a cold kernel in configuration cfg: the fast twin of
+// cache.NewConfigurable.
+func New(cfg cache.Config) (*Kernel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	k := &Kernel{live: live}
+	k := &Kernel{runBlock: invalidBlock}
 	k.setTables(cfg)
 	k.resetPredictor()
-	// Sentinel blocks let the direct-mapped loop fold the valid check into
-	// the block compare: a real block is addr>>4 < 1<<28, so all-ones never
-	// matches. The general loop still checks valid, which is also still
-	// false; the sentinel is inert there.
 	for i := range k.frames {
-		k.frames[i].block = ^uint32(0)
+		k.frames[i].block = invalidBlock
 	}
 	return k, nil
 }
@@ -124,7 +125,6 @@ func (k *Kernel) setTables(cfg cache.Config) {
 	if cfg.SizeBytes == 8192 && cfg.Ways == 2 {
 		k.predSelMask = 1
 	}
-	k.dm = k.nBanks == 1 && !k.predict && !k.live
 	// Transcribe cache.Configurable.candidateBanks for each value of the
 	// bank-select bits, preserving the probe order (it decides hit-probe
 	// and victim tie-breaks).
@@ -144,6 +144,11 @@ func (k *Kernel) setTables(cfg cache.Config) {
 			tab[0] = uint8(sel & 1)
 		default: // 2048, 1-way
 			tab[0] = 0
+		}
+		// Slots past the associativity repeat the last candidate, so the
+		// set-associative probe reads all four unconditionally.
+		for w := k.nBanks; w < cache.NumBanks; w++ {
+			tab[w] = tab[k.nBanks-1]
 		}
 	}
 }
@@ -180,23 +185,120 @@ func (k *Kernel) ResetStats() { k.stats = cache.Stats{} }
 // ReplayBatch replays a block of accesses through the kernel. It is the hot
 // loop of every sweep and of every live session: allocation-free (pinned by
 // test and benchmark) and free of per-access interface dispatch. Instruction
-// fetches and loads are reads; only trace.DataWrite stores. On a
-// fixed-configuration kernel, single-way configurations without way
-// prediction (a third of the space) take a specialised loop that skips the
-// clock and LRU bookkeeping outright — with one candidate bank and no
-// reconfiguration ahead the timestamps are never compared and never
-// observable.
+// fetches and loads are reads; only trace.DataWrite stores.
+//
+// Set-associative configurations fold runs, as the fused kernel does: an
+// access to the same 16 B block as the previous access hits the frame that
+// access left the block in, and — when predicting — is a first-probe hit,
+// because that access trained the set's predictor to the frame's bank. The
+// memo survives across calls, so per-access Access callers fold too;
+// SetConfig clears it, since the candidate banks and the predictor change.
+// Single-way configurations (a third of the space) take a loop with one
+// candidate bank and no predictor, where a tag compare is the whole probe.
 func (k *Kernel) ReplayBatch(accs []trace.Access) {
-	if k.dm {
-		k.replayDM(accs)
+	if k.nBanks == 1 {
+		k.replayDirect(accs)
 		return
 	}
 	st := &k.stats
 	clock := k.clock
 	predict := k.predict
 	predSelMask := k.predSelMask
-	n := k.nBanks
-	var hits, writes, predHits, predMisses uint64
+	runBlock, runFrame := k.runBlock, k.runFrame
+	var hits, runs, writes, predHits, predMisses uint64
+	for i := range accs {
+		addr := accs[i].Addr
+		write := accs[i].Kind == trace.DataWrite
+		clock++
+		if write {
+			writes++
+		}
+		block := addr >> 4
+		if block == runBlock {
+			f := &k.frames[runFrame&frameMask]
+			f.lastUse = clock
+			if write {
+				f.dirty = true
+			}
+			runs++
+			continue
+		}
+		r := block & (cache.BankRows - 1)
+		banks := &k.bankTab[(addr>>11)&3]
+		// Load every candidate's tag up front and select the first match
+		// in probe order (reconfiguration can leave a block in two
+		// candidate frames): independent loads and conditional moves, no
+		// data-dependent branch chain.
+		f0 := uint32(banks[0])<<rowShift | r
+		f1 := uint32(banks[1])<<rowShift | r
+		f2 := uint32(banks[2])<<rowShift | r
+		f3 := uint32(banks[3])<<rowShift | r
+		hit := noFrame
+		if k.frames[f3&frameMask].block == block {
+			hit = f3
+		}
+		if k.frames[f2&frameMask].block == block {
+			hit = f2
+		}
+		if k.frames[f1&frameMask].block == block {
+			hit = f1
+		}
+		if k.frames[f0&frameMask].block == block {
+			hit = f0
+		}
+		set := 0
+		if predict {
+			set = int(r | ((addr>>11)&predSelMask)<<rowShift)
+			p := k.pred[set]
+			if p == noPrediction {
+				p = banks[0]
+			}
+			if hit>>rowShift == uint32(p) {
+				// First probe hit: one way read, one cycle.
+				predHits++
+			} else {
+				// Mispredicted: probe the rest next cycle.
+				predMisses++
+			}
+		}
+		runBlock = block
+		if hit != noFrame {
+			runFrame = hit
+			f := &k.frames[hit&frameMask]
+			f.lastUse = clock
+			if write {
+				f.dirty = true
+			}
+			hits++
+			if predict {
+				k.pred[set] = uint8(hit >> rowShift)
+			}
+			continue
+		}
+		runFrame = k.miss(block, write, banks, set, clock)
+	}
+	k.clock = clock
+	k.runBlock, k.runFrame = runBlock, runFrame
+	if predict {
+		predHits += runs
+	}
+	st.Accesses += uint64(len(accs))
+	st.Writes += writes
+	st.Hits += hits + runs
+	st.PredHits += predHits
+	st.PredMisses += predMisses
+	st.ExtraCycles += predMisses // each misprediction costs one extra cycle
+}
+
+// replayDirect is the single-way loop. The one candidate frame's tag
+// compare is the whole probe, and counters accumulate in registers and
+// flush once per batch. It keeps the LRU clock and timestamps exactly as the
+// general loop does: an image records both, and a later reconfiguration to
+// a multi-way configuration picks its victims by them.
+func (k *Kernel) replayDirect(accs []trace.Access) {
+	sublines := k.sublines
+	clock := k.clock
+	var hits, misses, writes, writebacks, filled uint64
 	for i := range accs {
 		addr := accs[i].Addr
 		write := accs[i].Kind == trace.DataWrite
@@ -206,74 +308,10 @@ func (k *Kernel) ReplayBatch(accs []trace.Access) {
 		}
 		block := addr >> 4
 		r := block & (cache.BankRows - 1)
-		banks := &k.bankTab[(addr>>11)&3]
-		hitBank := -1
-		var hf *frame
-		for w := 0; w < n; w++ {
-			f := &k.frames[(uint32(banks[w])<<rowShift|r)&frameMask]
-			if f.valid && f.block == block {
-				hitBank = int(banks[w])
-				hf = f
-				break
-			}
-		}
-		set := 0
-		if predict {
-			set = int(r | ((addr>>11)&predSelMask)<<rowShift)
-			p := k.pred[set]
-			if p == noPrediction {
-				p = banks[0]
-			}
-			if hitBank == int(p) {
-				// First probe hit: one way read, one cycle.
-				predHits++
-			} else {
-				// Mispredicted: probe the rest next cycle.
-				predMisses++
-			}
-		}
-		if hf != nil {
-			hf.lastUse = clock
-			if write {
-				hf.dirty = true
-			}
-			hits++
-			if predict {
-				k.pred[set] = uint8(hitBank)
-			}
-			continue
-		}
-		k.miss(block, write, banks, set, clock)
-	}
-	k.clock = clock
-	st.Accesses += uint64(len(accs))
-	st.Writes += writes
-	st.Hits += hits
-	st.PredHits += predHits
-	st.PredMisses += predMisses
-	st.ExtraCycles += predMisses // each misprediction costs one extra cycle
-}
-
-// replayDM is the single-way loop of fixed-configuration kernels. Sentinel
-// blocks fold the valid check into the block compare; counters accumulate in
-// registers and flush once per batch. The clock is deliberately not
-// advanced: with a single candidate bank no replacement decision ever reads
-// a timestamp. A live kernel never runs it — its image records the clock,
-// and a later multi-way configuration compares the timestamps.
-func (k *Kernel) replayDM(accs []trace.Access) {
-	sublines := k.sublines
-	var hits, misses, writes, writebacks, filled uint64
-	for i := range accs {
-		addr := accs[i].Addr
-		write := accs[i].Kind == trace.DataWrite
-		if write {
-			writes++
-		}
-		block := addr >> 4
-		r := block & (cache.BankRows - 1)
 		bank := uint32(k.bankTab[(addr>>11)&3][0])
 		f := &k.frames[(bank<<rowShift|r)&frameMask]
 		if f.block == block {
+			f.lastUse = clock
 			if write {
 				f.dirty = true
 			}
@@ -285,22 +323,23 @@ func (k *Kernel) replayDM(accs []trace.Access) {
 		for s := uint32(0); s < sublines; s++ {
 			sb := lineBase + s
 			ff := &k.frames[(bank<<rowShift|(sb&(cache.BankRows-1)))&frameMask]
+			ff.lastUse = clock
 			if ff.block == sb {
-				// Existing copy wins; only the accessed subline can dirty it.
-				if sb == block && write {
-					ff.dirty = true
-				}
-				continue
+				continue // existing copy wins
 			}
 			if ff.dirty { // invalid frames are never dirty
 				writebacks++
 			}
 			ff.valid = true
 			ff.block = sb
-			ff.dirty = sb == block && write
+			ff.dirty = false
 			filled++
 		}
+		// The accessed subline missed, so it was just filled into f.
+		f.lastUse = clock + 1
+		f.dirty = write
 	}
+	k.clock = clock
 	st := &k.stats
 	st.Accesses += uint64(len(accs))
 	st.Writes += writes
@@ -313,13 +352,14 @@ func (k *Kernel) replayDM(accs []trace.Access) {
 // miss fills the whole logical line, one 16 B subline at a time, exactly as
 // the reference cache does: existing copy wins, else the first invalid
 // frame, else the LRU frame; the accessed subline becomes MRU (clock+1) and
-// trains the predictor.
-func (k *Kernel) miss(block uint32, write bool, banks *[cache.NumBanks]uint8, set int, clock uint64) {
+// trains the predictor. It returns the accessed subline's frame index.
+func (k *Kernel) miss(block uint32, write bool, banks *[cache.NumBanks]uint8, set int, clock uint64) uint32 {
 	st := &k.stats
 	st.Misses++
 	lineBase := block &^ (k.sublines - 1)
 	n := k.nBanks
 	var filled uint64
+	var accessed uint32
 	for i := uint32(0); i < k.sublines; i++ {
 		sb := lineBase + i
 		r := sb & (cache.BankRows - 1)
@@ -362,9 +402,11 @@ func (k *Kernel) miss(block uint32, write bool, banks *[cache.NumBanks]uint8, se
 			if k.predict {
 				k.pred[set] = fillBank
 			}
+			accessed = uint32(fillBank)<<rowShift | r
 		}
 	}
 	st.SublinesFilled += filled
+	return accessed
 }
 
 // Access performs one read or write — the cache.Simulator contract. It runs

@@ -1,17 +1,12 @@
 package fastsim
 
 import (
-	"errors"
 	"fmt"
 
 	"selftune/internal/cache"
 )
 
-// errFixed refuses reconfiguration and imaging of a New kernel: its
-// single-way loop keeps no clock, so neither would match the reference.
-var errFixed = errors.New("fastsim: kernel replays one fixed configuration; build a reconfigurable one with NewLive or Restore")
-
-// SetConfig reconfigures a live kernel in place, transcribing
+// SetConfig reconfigures the kernel in place, transcribing
 // cache.Configurable.SetConfig (paper §3.3): contents are preserved and never
 // flushed; way shutdown writes back the dirty lines of the deactivated banks
 // (SettleWritebacks) and powers their frames off; dirty blocks stranded in
@@ -21,9 +16,6 @@ var errFixed = errors.New("fastsim: kernel replays one fixed configuration; buil
 // reconfigured by a tuner, and every tuner transition may shrink.
 // Reapplying the current configuration is a no-op.
 func (k *Kernel) SetConfig(next cache.Config) error {
-	if !k.live {
-		return errFixed
-	}
 	if err := next.Validate(); err != nil {
 		return err
 	}
@@ -33,6 +25,9 @@ func (k *Kernel) SetConfig(next cache.Config) error {
 	oldBanks := k.activeBanks
 	k.stats.Reconfigurations++
 	k.setTables(next)
+	// The run memo's frame may no longer be a candidate for its block, and
+	// the predictor it relies on restarts below.
+	k.runBlock = invalidBlock
 	// Deactivated banks power off and lose contents; dirty lines must be
 	// written back first. The powered-off frame is the invalid sentinel.
 	for b := k.activeBanks; b < oldBanks; b++ {
@@ -41,7 +36,7 @@ func (k *Kernel) SetConfig(next cache.Config) error {
 			if f.valid && f.dirty {
 				k.stats.SettleWritebacks++
 			}
-			*f = frame{block: ^uint32(0)}
+			*f = frame{block: invalidBlock}
 		}
 	}
 	// Count dirty blocks stranded in frames they no longer map to. A
@@ -72,14 +67,11 @@ func (k *Kernel) SetConfig(next cache.Config) error {
 // shares with cache.Configurable (where it permits shrinking transitions).
 func (k *Kernel) Reconfigure(next cache.Config) error { return k.SetConfig(next) }
 
-// Image captures a live kernel's complete state as the cache.Image that
+// Image captures the kernel's complete state as the cache.Image that
 // cache.Configurable.Image produces for the same history — the same frames
 // in the same bank-major order, so checkpoint bytes do not depend on which
 // simulator served the stream.
 func (k *Kernel) Image() (cache.Image, error) {
-	if !k.live {
-		return cache.Image{}, errFixed
-	}
 	img := cache.Image{
 		Cfg:   k.cfg,
 		Clock: k.clock,
@@ -98,13 +90,13 @@ func (k *Kernel) Image() (cache.Image, error) {
 	return img, nil
 }
 
-// Restore rebuilds a live kernel from an Image, with every validation
+// Restore rebuilds a kernel from an Image, with every validation
 // cache.RestoreConfigurable applies: a checkpoint that passed its CRC can
 // still carry a logically impossible state if it was written by a buggy or
 // hostile producer. The restored kernel behaves, access for access, like a
 // cache.Configurable restored from the same image.
 func Restore(img cache.Image) (*Kernel, error) {
-	k, err := NewLive(img.Cfg)
+	k, err := New(img.Cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fastsim: restore: %w", err)
 	}
@@ -117,6 +109,9 @@ func Restore(img cache.Image) (*Kernel, error) {
 	for _, f := range img.Frames {
 		if f.Bank < 0 || f.Bank >= cache.NumBanks || f.Row < 0 || f.Row >= cache.BankRows {
 			return nil, fmt.Errorf("fastsim: restore: frame (%d,%d) outside the %dx%d array", f.Bank, f.Row, cache.NumBanks, cache.BankRows)
+		}
+		if f.Block >= cache.MaxBlocks {
+			return nil, fmt.Errorf("fastsim: restore: block %#x beyond the 32-bit address space", f.Block)
 		}
 		if int(f.Block&(cache.BankRows-1)) != f.Row {
 			return nil, fmt.Errorf("fastsim: restore: block %#x cannot reside in row %d", f.Block, f.Row)

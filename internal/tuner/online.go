@@ -12,7 +12,7 @@ import (
 // LiveCache is the running cache a session tunes: served an access at a
 // time (cache.Simulator) or a block at a time (ReplayBatch), and
 // reconfigured in place between windows. The reference cache.Configurable
-// and the fast fastsim.Kernel (built by NewLive or Restore) both satisfy it;
+// and the fast fastsim.Kernel (built by New or Restore) both satisfy it;
 // a session behaves bit-identically on either.
 type LiveCache interface {
 	cache.Simulator
