@@ -243,12 +243,15 @@ func TestStickyFaultExhaustsRevivesIntoFailed(t *testing.T) {
 	if h, _ := m.Health("doomed"); h != Failed {
 		t.Fatalf("Health = %v, want Failed", h)
 	}
-	if evs := fleetEvents(t, &buf, "fleet.session_failed"); len(evs) != 1 || evs[0].Str("sid") != "doomed" {
-		t.Errorf("want exactly one sid-stamped fleet.session_failed event, got %d", len(evs))
-	}
 	err = m.CloseSession("doomed")
 	if !errors.As(err, &herr) || herr.State != Failed {
 		t.Errorf("CloseSession: want *HealthError(Failed), got %v", err)
+	}
+	// The worker emits the failure event after publishing the Failed
+	// state, so the log is read only once CloseSession has returned: the
+	// worker serves the close item after it finishes the failing batch.
+	if evs := fleetEvents(t, &buf, "fleet.session_failed"); len(evs) != 1 || evs[0].Str("sid") != "doomed" {
+		t.Errorf("want exactly one sid-stamped fleet.session_failed event, got %d", len(evs))
 	}
 	rep := m.Report()
 	if len(rep.Sessions) != 1 || rep.Sessions[0].Health != Failed || rep.Sessions[0].Revives != 1 {
