@@ -33,8 +33,8 @@ bench-smoke:
 bench-json:
 	$(GO) run ./cmd/stcbench -json BENCH_10.json
 
-# End-to-end observability smoke: daemon up with telemetry, endpoints
-# scraped, event log explained (see scripts/obs_smoke.sh).
+# End-to-end observability smoke: stcd's local daemon up with telemetry,
+# endpoints scraped, event log explained (see scripts/obs_smoke.sh).
 obs-smoke:
 	bash scripts/obs_smoke.sh
 

@@ -1,4 +1,4 @@
-// Command stcexplain renders a tuned/daemon telemetry log (the JSONL stream
+// Command stcexplain renders a daemon telemetry log (the JSONL stream
 // written by -obs-log or -v) into the human-readable search story: per
 // tuning session, every configuration the heuristic examined, what it
 // measured, and why it kept going or stopped — Figure 6 reconstructed from
@@ -13,12 +13,12 @@
 // With no file argument the log is read from stdin. Fleet logs (stcd's
 // -obs-log) interleave many sessions, each event stamped with an "sid"
 // field: -session extracts one session's story, which — by the fleet's
-// determinism contract — is exactly the log a solo tuned run would have
-// written. A fleet log with a single session is unambiguous and needs no
-// flag; with several, stcexplain lists them and asks. The exit status is
-// non-zero when the log contains no search trajectory at all, or when
-// -max-examined is set and any session examined more configurations than
-// that — a regression gate for the paper's "examines ~5-7 of 27
+// determinism contract — is exactly the log a solo local-mode stcd run
+// would have written. A fleet log with a single session is unambiguous and
+// needs no flag; with several, stcexplain lists them and asks. The exit
+// status is non-zero when the log contains no search trajectory at all, or
+// when -max-examined is set and any session examined more configurations
+// than that — a regression gate for the paper's "examines ~5-7 of 27
 // configurations" property. Budget-constrained searches (daemon.budget,
 // budget-reasoned re-tunes, fleet.realloc) render with their allocation and
 // excluded-configuration counts, and count toward -max-examined like any

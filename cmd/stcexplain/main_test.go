@@ -28,10 +28,12 @@ func daemonLog(t *testing.T) []byte {
 	if !ok {
 		t.Fatal("no crc workload")
 	}
-	for _, a := range prof.Generate(4_000) {
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
+	for accs := prof.Generate(4_000); len(accs) > 0; {
+		n, _, err := d.StepBatch(accs)
+		if err != nil {
 			t.Fatal(err)
 		}
+		accs = accs[n:]
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -86,8 +86,8 @@ func (f *FleetStore) SessionDir(id string) string {
 
 // Session opens (creating and registering in the manifest if necessary) the
 // per-session store for id. The returned Store is the ordinary single-daemon
-// one; a session resuming after process death loads from it exactly as
-// cmd/tuned does.
+// one; a session resuming after process death loads from it exactly as a
+// local-mode stcd does.
 func (f *FleetStore) Session(id string) (*Store, error) {
 	if id == "" {
 		return nil, fmt.Errorf("checkpoint: empty session id")

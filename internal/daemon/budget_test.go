@@ -1,6 +1,10 @@
 package daemon
 
-import "testing"
+import (
+	"testing"
+
+	"selftune/internal/trace"
+)
 
 // feedStrided feeds a deterministic 8 KiB-footprint strided pattern (which
 // settles on the 8K tier unconstrained, so every budget below that binds),
@@ -10,10 +14,20 @@ func feedStrided(t *testing.T, d *Daemon, until uint64) {
 	t.Helper()
 	for d.Consumed() < until {
 		i := d.Consumed()
-		if err := d.Step(uint32(i*16%8192), i%7 == 0); err != nil {
-			t.Fatalf("Step at %d: %v", i, err)
+		if _, _, err := d.StepBatch([]trace.Access{stridedAccess(i)}); err != nil {
+			t.Fatalf("StepBatch at %d: %v", i, err)
 		}
 	}
+}
+
+// stridedAccess is access i of the feedStrided pattern: every seventh one
+// writes.
+func stridedAccess(i uint64) trace.Access {
+	a := trace.Access{Addr: uint32(i * 16 % 8192), Kind: trace.DataRead}
+	if i%7 == 0 {
+		a.Kind = trace.DataWrite
+	}
+	return a
 }
 
 // settleStrided feeds until the daemon settles (or the access cap trips).

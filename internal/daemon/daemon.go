@@ -190,25 +190,12 @@ func (d *Daemon) gauges() {
 // Recovered reports whether this daemon resumed from a checkpoint.
 func (d *Daemon) Recovered() bool { return d.sess.Recovered() }
 
-// Step feeds one access. The error is a persistence failure (snapshots that
-// cannot be written must not pass silently); the access itself always
-// completes.
-func (d *Daemon) Step(addr uint32, write bool) error {
-	_, err := d.step(addr, write)
-	return err
-}
-
-// step is Step reporting whether a window boundary was crossed (the drain
-// loop in Run needs to see boundaries).
-func (d *Daemon) step(addr uint32, write bool) (bool, error) {
-	boundary, err := d.sess.Step(addr, write)
-	return boundary, d.afterStep(boundary, err)
-}
-
 // StepBatch feeds a block of accesses and returns how many it consumed,
 // stopping at every window boundary exactly as Session.StepBatch does, so
 // the persist cadence and gauges see each boundary. Callers loop until accs
-// is consumed. The error is a persistence or snapshot failure.
+// is consumed. The error is a persistence or snapshot failure (snapshots
+// that cannot be written must not pass silently); the consumed accesses
+// always complete.
 func (d *Daemon) StepBatch(accs []trace.Access) (n int, boundary bool, err error) {
 	n, boundary, err = d.sess.StepBatch(accs)
 	return n, boundary, d.afterStep(boundary, err)
@@ -256,7 +243,7 @@ func (d *Daemon) persist(st *checkpoint.State) error {
 // daemon continue rather than start over. On cancellation the daemon drains
 // the in-flight measurement window to its boundary first (at most ~1.25
 // windows of accesses), so the final persisted checkpoint covers every
-// consumed access, then returns ctx.Err().
+// consumed access, then returns ctx.Err(). stcd's local mode drives it.
 func (d *Daemon) Run(ctx context.Context, src trace.Source) error {
 	for skip := d.sess.Consumed(); skip > 0; skip-- {
 		if _, ok := src.Next(); !ok {
@@ -300,13 +287,17 @@ func (d *Daemon) drain(ctx context.Context, src trace.Source) error {
 	// The drain span's coordinates depend on where cancellation landed in
 	// the stream — a lifecycle pair (like daemon.persist), not a decision.
 	sp := d.sess.span("daemon.drain", d.opts.Hists.drain())
+	// A source cannot take an access back, so the drain pulls and steps one
+	// access per StepBatch call; at most ~1.25 windows remain.
 	var drained uint64
+	var one [1]trace.Access
 	for !d.sess.AtBoundary() {
 		a, ok := src.Next()
 		if !ok {
 			break
 		}
-		if _, err := d.step(a.Addr, a.IsWrite()); err != nil {
+		one[0] = a
+		if _, _, err := d.StepBatch(one[:]); err != nil {
 			return err
 		}
 		drained++

@@ -33,9 +33,8 @@ func twoPhaseStream(nA, nB int) []trace.Access {
 func feedAll(t *testing.T, d *Daemon, accs []trace.Access) {
 	t.Helper()
 	for d.Consumed() < uint64(len(accs)) {
-		a := accs[d.Consumed()]
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
-			t.Fatalf("Step at %d: %v", d.Consumed(), err)
+		if _, _, err := d.StepBatch(accs[d.Consumed():]); err != nil {
+			t.Fatalf("StepBatch at %d: %v", d.Consumed(), err)
 		}
 	}
 }

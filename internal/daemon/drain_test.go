@@ -1,11 +1,13 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"testing"
 
 	"selftune/internal/checkpoint"
+	"selftune/internal/obs"
 	"selftune/internal/trace"
 	"selftune/internal/workload"
 )
@@ -13,20 +15,25 @@ import (
 // TestRunDrainsInFlightWindowOnCancel pins the graceful-shutdown contract:
 // after a cancellation the final persisted checkpoint sits at a measurement
 // window boundary covering every consumed access — the in-flight window is
-// drained, not thrown away for the next life to replay.
+// drained, not thrown away for the next life to replay. The drain's
+// telemetry is pinned too: one daemon.drain span whose work is exactly the
+// accesses consumed after the cancel, and one daemon_drain_seconds
+// observation.
 func TestRunDrainsInFlightWindowOnCancel(t *testing.T) {
 	prof, _ := workload.ByName("crc")
 	_, accs := trace.Split(trace.NewSliceSource(prof.Generate(400_000)))
 
 	dir := t.TempDir()
-	d, err := New(Options{Window: 2_000, Dir: dir})
+	var log bytes.Buffer
+	reg := obs.NewRegistry()
+	d, err := New(Options{Window: 2_000, Dir: dir, Rec: obs.NewJSONL(&log), Reg: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Step partway into the first measurement window, so a window is
 	// genuinely in flight when the cancelled Run takes over.
-	for i := 0; i < 500; i++ {
-		if err := d.Step(accs[i].Addr, accs[i].IsWrite()); err != nil {
+	for d.Consumed() < 500 {
+		if _, _, err := d.StepBatch(accs[d.Consumed():500]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,6 +50,26 @@ func TestRunDrainsInFlightWindowOnCancel(t *testing.T) {
 	}
 	if !d.Session().AtBoundary() {
 		t.Fatal("daemon stopped mid-window despite a draining shutdown")
+	}
+
+	evs, err := obs.ReadEvents(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []obs.RawEvent
+	for _, ev := range evs {
+		if ev.Name == "daemon.drain.end" {
+			ends = append(ends, ev)
+		}
+	}
+	if len(ends) != 1 {
+		t.Fatalf("got %d daemon.drain.end events, want 1", len(ends))
+	}
+	if work, want := uint64(ends[0].Float("work")), d.Consumed()-500; work != want {
+		t.Fatalf("daemon.drain span reports %d accesses of work, but %d were consumed after the cancel", work, want)
+	}
+	if n := reg.Histogram("daemon_drain_seconds").Count(); n != 1 {
+		t.Fatalf("daemon_drain_seconds has %d observations, want 1", n)
 	}
 
 	store, err := checkpoint.OpenStore(dir, 4)

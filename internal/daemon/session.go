@@ -18,8 +18,8 @@ import (
 // snapshots — everything Daemon does except persistence. It exists so one
 // process can run many: the fleet manager (internal/fleet) multiplexes
 // Sessions across worker shards, while Daemon composes exactly one Session
-// with a checkpoint.Store for the single-stream cmd/tuned. A Session is not
-// safe for concurrent use; its owner serialises Step calls.
+// with a checkpoint.Store for stcd's single-stream local mode. A Session is
+// not safe for concurrent use; its owner serialises Step calls.
 //
 // Persistence stays outside: Step and StepBatch report when a
 // measurement-window boundary was reached and the boundary snapshot rebuilt
@@ -431,26 +431,6 @@ func (s *Session) NoteRecovered(gen uint64) {
 	s.emit("daemon.recover", s.cache.Config().String(),
 		slog.Uint64("generation", gen),
 		slog.Bool("tuning", s.search != nil))
-}
-
-// Run streams src into the session until the stream ends, skipping the
-// prefix a previous life already consumed. It exists for owners that do not
-// need cancellation or persistence (Daemon.Run adds both).
-func (s *Session) Run(src trace.Source) error {
-	for skip := s.consumed; skip > 0; skip-- {
-		if _, ok := src.Next(); !ok {
-			return fmt.Errorf("daemon: stream ends at %d accesses but the checkpoint consumed %d", s.consumed-skip, s.consumed)
-		}
-	}
-	for {
-		a, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if _, err := s.Step(a.Addr, a.IsWrite()); err != nil {
-			return err
-		}
-	}
 }
 
 // Close is a no-op kept for owners that release a Session like any other

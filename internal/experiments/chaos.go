@@ -219,11 +219,11 @@ func ChaosSoak(opt ChaosOptions) (*ChaosOutcome, error) {
 
 // feed advances d to absolute stream position upto (d.Consumed() is the
 // index of the next access, which is what makes resuming a matter of
-// indexing back into the same slice).
+// indexing back into the same slice). StepBatch stops at every boundary, so
+// the loop re-slices from the consumed count until it reaches upto.
 func feed(d *daemon.Daemon, accs []trace.Access, upto uint64) error {
 	for d.Consumed() < upto {
-		a := accs[d.Consumed()]
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
+		if _, _, err := d.StepBatch(accs[d.Consumed():upto]); err != nil {
 			return err
 		}
 	}

@@ -108,10 +108,12 @@ func soloDurable(dir string, window, every uint64, accs []trace.Access) ([]check
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	for _, a := range accs {
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
+	for rest := accs; len(rest) > 0; {
+		n, _, err := d.StepBatch(rest)
+		if err != nil {
 			return nil, nil, 0, err
 		}
+		rest = rest[n:]
 	}
 	if err := d.Close(); err != nil {
 		return nil, nil, 0, err

@@ -70,8 +70,11 @@ func TestFleetBudgetConstrainedBitIdenticalToSolo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range traces[id] {
-			if err := d.Step(a.Addr, a.IsWrite()); err != nil {
+		// One access per call: the fleet's multi-access batches are
+		// compared against per-access stepping.
+		tr := traces[id]
+		for i := range tr {
+			if _, _, err := d.StepBatch(tr[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,9 +9,9 @@
 // sid-stamped recorder, fed its accesses in arrival order by exactly one
 // shard worker. A fleet of N sessions therefore produces per-session
 // decisions, checkpoints and telemetry bit-identical to N independent
-// cmd/tuned runs, at any shard count — internal/fleet's property test pins
-// it. Fleet-wide events (open, close, allocation) carry no sid field, and
-// the fleet events that concern exactly one session (shed, park, admit,
+// local-mode stcd runs, at any shard count — internal/fleet's property test
+// pins it. Fleet-wide events (open, close, allocation) carry no sid field,
+// and the fleet events that concern exactly one session (shed, park, admit,
 // reject, realloc) are stamped with it, so filtering a fleet log by sid
 // yields exactly one session's story.
 //

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"runtime"
 	"strings"
 	"testing"
@@ -113,38 +112,40 @@ func TestWireTraceTagEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIngestAcceptsV2Streams hand-frames a version-2 stream (open frames
-// with no trace field) and pins that the server still ingests it: v3 must
-// not orphan deployed v2 clients.
-func TestIngestAcceptsV2Streams(t *testing.T) {
+// TestWireRefusesOtherVersions pins the single wire version: a stream or
+// response header at any version but wireVersion is refused before a frame
+// is read, so no session opens from it.
+func TestWireRefusesOtherVersions(t *testing.T) {
 	m, err := New(Options{Shards: 1, Session: daemon.Options{Window: 500}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 
-	payload := encodeSTRC(t, genTrace(t, "crc", 2_000))
-	var conn bytes.Buffer
-	conn.Write(append(wireMagic[:], 2)) // v2 header
-	frame := func(kind byte, sid string, body []byte, withLen bool) {
-		var ln [binary.MaxVarintLen64]byte
-		conn.WriteByte(kind)
-		conn.Write(ln[:binary.PutUvarint(ln[:], uint64(len(sid)))])
-		conn.WriteString(sid)
-		if withLen {
-			conn.Write(ln[:binary.PutUvarint(ln[:], uint64(len(body)))])
-			conn.Write(body)
+	// A well-formed v3 body behind each header: only the version byte
+	// differs from a stream the server accepts.
+	var body bytes.Buffer
+	cw, _ := NewConnWriter(&body)
+	cw.Open("s")
+	cw.Data("s", encodeSTRC(t, genTrace(t, "crc", 2_000)))
+	cw.Close("s")
+	frames := body.Bytes()[len(wireMagic)+1:]
+
+	for _, ver := range []byte{1, 2, 4} {
+		stream := append(append(wireMagic[:], ver), frames...)
+		err := m.Ingest(bytes.NewReader(stream))
+		if err == nil || !strings.Contains(err.Error(), "unsupported stream version") {
+			t.Fatalf("stream header v%d: Ingest returned %v, want an unsupported stream version error", ver, err)
 		}
 	}
-	frame(frameOpen, "old", nil, false) // v2 open: sid only
-	frame(frameData, "old", payload, true)
-	frame(frameClose, "old", nil, false)
-
-	if err := m.Ingest(bytes.NewReader(conn.Bytes())); err != nil {
-		t.Fatalf("v2 stream refused: %v", err)
-	}
 	if got := m.Sessions(); len(got) != 0 {
-		t.Fatalf("sessions still live after ingest: %v", got)
+		t.Fatalf("refused streams opened sessions: %v", got)
+	}
+	for _, ver := range []byte{2, 4} {
+		_, err := ReadResponseStream(bytes.NewReader(append(wireMagic[:], ver)))
+		if err == nil || !strings.Contains(err.Error(), "unsupported response version") {
+			t.Fatalf("response header v%d: ReadResponseStream returned %v, want an unsupported response version error", ver, err)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"selftune/internal/checkpoint"
 	"selftune/internal/daemon"
@@ -82,8 +81,9 @@ func soloBaseline(t *testing.T, dir string, window uint64, tr []trace.Access) ([
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range tr {
-		if err := d.Step(a.Addr, a.IsWrite()); err != nil {
+	// One access per call, as the fleet-vs-solo references step.
+	for i := range tr {
+		if _, _, err := d.StepBatch(tr[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,33 +293,28 @@ func TestFailedSessionReleasesAdmissionSlot(t *testing.T) {
 	if got := m.Pending(); len(got) != 1 || got[0] != "waiter" {
 		t.Fatalf("Pending = %v, want [waiter]", got)
 	}
+	// The waiter's trace buffers while it is parked; Quiesce returns only
+	// once the waiter is admitted and has consumed all of it, which needs
+	// the victim's slot — and nobody closes the victim.
+	wtr := genTrace(t, "bcnt", 2_000)
+	if err := m.Submit("waiter", wtr); err != nil {
+		t.Fatal(err)
+	}
 	tr := genTrace(t, "crc", 5_000)
 	for off := 0; off < len(tr); off += 500 {
 		if err := m.Submit("victim", tr[off:off+500]); err != nil {
 			break // the quarantine turned terminal
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h, err := m.Health("victim")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h == Failed && len(m.Pending()) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("victim health %v, pending %v: waiter never admitted", h, m.Pending())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The admitted waiter actually consumes.
-	wtr := genTrace(t, "bcnt", 2_000)
-	if err := m.Submit("waiter", wtr); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.Quiesce("waiter"); err != nil {
 		t.Fatal(err)
+	}
+	h, err := m.Health("victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != Failed || len(m.Pending()) != 0 {
+		t.Fatalf("victim health %v, pending %v: want Failed and the waiter admitted", h, m.Pending())
 	}
 	d, err := m.Session("waiter")
 	if err != nil {

@@ -41,7 +41,7 @@ type RetryClient struct {
 	Chunk int
 	// Sleep replaces time.Sleep between attempts (tests). nil sleeps.
 	Sleep func(time.Duration)
-	// Trace is an opaque tag carried in the session's open frame (v3): the
+	// Trace is an opaque tag carried in the session's open frame: the
 	// server stamps it onto the session's events and echoes it in
 	// fleet.open, tying this client's delivery attempts to the server-side
 	// session story. Empty means untagged.

@@ -17,7 +17,7 @@ import (
 // The fleet wire protocol multiplexes many sessions' trace streams over one
 // connection. A stream is the "STFW" magic plus a version byte, then frames:
 //
-//	open:  0x01, uvarint sid length, sid bytes, uvarint t, t trace bytes (v3; v2 has no trace field)
+//	open:  0x01, uvarint sid length, sid bytes, uvarint t, t trace bytes
 //	data:  0x02, uvarint sid length, sid bytes, uvarint n, n payload bytes
 //	close: 0x03, uvarint sid length, sid bytes
 //	error: 0x04, uvarint sid length, sid bytes, uvarint n, 1 code byte + n-1 message bytes
@@ -31,10 +31,10 @@ import (
 // whether a reconnect-and-re-stream can heal it. A done frame acknowledges
 // a close frame the server completed cleanly, which is what lets a
 // reconnecting client distinguish "delivered" from "the connection died
-// after my last write" (version 2 added the code byte and the done frame;
-// version 3 added the open frame's trace tag — an opaque client-chosen
-// string the server stamps onto the session's events for end-to-end
-// correlation; empty means untagged). The server ingests versions 2 and 3.
+// after my last write". The open frame's trace tag is an opaque
+// client-chosen string the server stamps onto the session's events for
+// end-to-end correlation; empty means untagged. Both directions speak
+// exactly one version, wireVersion; any other header is refused.
 //
 // A session's concatenated data payloads form exactly one STRC trace stream
 // (magic, version, varint-coded records — the on-disk codec is the wire
@@ -48,9 +48,6 @@ var wireMagic = [4]byte{'S', 'T', 'F', 'W'}
 
 const (
 	wireVersion = 3
-	// wireVersionMin is the oldest stream version the server still ingests
-	// (v2 lacks only the open frame's trace field).
-	wireVersionMin = 2
 
 	frameOpen  = 0x01
 	frameData  = 0x02
@@ -126,8 +123,8 @@ func (c *ConnWriter) frame(kind byte, sid string, payload []byte) error {
 	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(sid)))
 	buf := append(hdr[:n], sid...)
 	if kind == frameData || kind == frameOpen {
-		// Open frames carry the uvarint-prefixed trace tag since v3 (empty
-		// for an untagged session), with the same shape as a data payload.
+		// Open frames carry the uvarint-prefixed trace tag (empty for an
+		// untagged session), with the same shape as a data payload.
 		var ln [binary.MaxVarintLen64]byte
 		buf = append(buf, ln[:binary.PutUvarint(ln[:], uint64(len(payload)))]...)
 		buf = append(buf, payload...)
@@ -318,7 +315,7 @@ func ReadResponseStream(r io.Reader) (*Responses, error) {
 	if [4]byte(hdr[:4]) != wireMagic {
 		return nil, fmt.Errorf("fleet: bad response magic %q", hdr[:4])
 	}
-	if hdr[4] < wireVersionMin || hdr[4] > wireVersion {
+	if hdr[4] != wireVersion {
 		return nil, fmt.Errorf("fleet: unsupported response version %d", hdr[4])
 	}
 	for {
@@ -409,9 +406,8 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 	if [4]byte(hdr[:4]) != wireMagic {
 		return fmt.Errorf("fleet: bad stream magic %q", hdr[:4])
 	}
-	ver := hdr[4]
-	if ver < wireVersionMin || ver > wireVersion {
-		return fmt.Errorf("fleet: unsupported stream version %d", ver)
+	if hdr[4] != wireVersion {
+		return fmt.Errorf("fleet: unsupported stream version %d", hdr[4])
 	}
 
 	owned := map[string]*ingestSession{}
@@ -480,16 +476,11 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 		}
 		switch kind {
 		case frameOpen:
-			var trce string
-			if ver >= 3 {
-				// v3 opens carry the uvarint-prefixed trace tag; a v2
-				// stream's open ends at the sid (untagged).
-				tb, err := readBytes(br, maxSIDLen)
-				if err != nil {
-					return fmt.Errorf("fleet: bad open frame: %w", err)
-				}
-				trce = string(tb)
+			tb, err := readBytes(br, maxSIDLen)
+			if err != nil {
+				return fmt.Errorf("fleet: bad open frame: %w", err)
 			}
+			trce := string(tb)
 			if _, dup := owned[sid]; dup {
 				return fmt.Errorf("fleet: duplicate open for session %q", sid)
 			}

@@ -237,6 +237,7 @@ func FuzzIngest(f *testing.F) {
 		return b.Bytes()
 	}
 	f.Add([]byte("STFW\x01"))
+	f.Add([]byte("STFW\x02\x01\x01s\x03\x01s")) // a retired v2 open/close
 	f.Add(valid(func(cw *ConnWriter) {
 		cw.Open("s")
 		var tr bytes.Buffer

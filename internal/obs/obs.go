@@ -6,7 +6,7 @@
 //     log/slog and a no-op default that costs nothing (hot paths guard event
 //     construction behind Enabled, so a disabled recorder adds zero
 //     allocations — pinned by benchmark in internal/engine);
-//   - a counter/gauge Registry rendered as Prometheus text (cmd/tuned serves
+//   - a counter/gauge Registry rendered as Prometheus text (cmd/stcd serves
 //     it at /metrics);
 //   - the shared -v/-quiet CLI verbosity flags.
 //

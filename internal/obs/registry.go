@@ -12,7 +12,7 @@ import (
 )
 
 // Registry is a flat namespace of counters and gauges, rendered as
-// Prometheus text exposition format (cmd/tuned serves it at /metrics). All
+// Prometheus text exposition format (cmd/stcd serves it at /metrics). All
 // operations are safe for concurrent use; reads (the /metrics scrape) never
 // block writers beyond an atomic load.
 type Registry struct {

@@ -113,8 +113,12 @@ func TestExplainBudgetConstrainedRetune(t *testing.T) {
 	feed := func(until uint64) {
 		for d.Consumed() < until {
 			i := d.Consumed()
-			if err := d.Step(uint32(i*16%8192), i%7 == 0); err != nil {
-				t.Fatalf("Step at %d: %v", i, err)
+			a := trace.Access{Addr: uint32(i * 16 % 8192), Kind: trace.DataRead}
+			if i%7 == 0 {
+				a.Kind = trace.DataWrite
+			}
+			if _, _, err := d.StepBatch([]trace.Access{a}); err != nil {
+				t.Fatalf("StepBatch at %d: %v", i, err)
 			}
 		}
 	}

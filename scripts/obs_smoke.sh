@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the observability surface: start the tuning
-# daemon with telemetry armed on a short trace, scrape /healthz, /metrics
+# End-to-end smoke test of the observability surface: start stcd's local
+# tuning daemon with telemetry armed on a short trace, scrape /healthz, /metrics
 # (histogram families and HELP lines included) and /statusz while it
 # serves, render the emitted event log with stcexplain — the search story
 # and the -timeline span tree — and fail on any non-200 response, empty
@@ -12,29 +12,29 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'kill "${pid:-}" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
-go build -o "$tmp/tuned" ./cmd/tuned
+go build -o "$tmp/stcd" ./cmd/stcd
 go build -o "$tmp/stcexplain" ./cmd/stcexplain
 
 # The daemon picks a free port; -obs-wait keeps the endpoints up after the
 # short stream drains so the scrapes below are race-free.
-"$tmp/tuned" -workload jpeg -n 300000 -window 2000 \
+"$tmp/stcd" -workload jpeg -stream data -n 300000 -window 2000 \
     -obs-addr 127.0.0.1:0 -obs-log "$tmp/events.jsonl" -obs-wait 60s \
-    >"$tmp/tuned.out" 2>&1 &
+    >"$tmp/stcd.out" 2>&1 &
 pid=$!
 
 addr=""
 for _ in $(seq 1 100); do
-    addr="$(sed -n 's|.*endpoints on http://\([^/]*\)/.*|\1|p' "$tmp/tuned.out" | head -1)"
+    addr="$(sed -n 's|.*endpoints on http://\([^/]*\)/.*|\1|p' "$tmp/stcd.out" | head -1)"
     [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "tuned exited early:"; cat "$tmp/tuned.out"; exit 1; }
+    kill -0 "$pid" 2>/dev/null || { echo "stcd exited early:"; cat "$tmp/stcd.out"; exit 1; }
     sleep 0.1
 done
-[ -n "$addr" ] && echo "tuned serving on $addr" || { echo "tuned never announced its address"; exit 1; }
+[ -n "$addr" ] && echo "stcd serving on $addr" || { echo "stcd never announced its address"; exit 1; }
 
 # Wait for the stream to drain (the summary table prints, then -obs-wait
 # holds the endpoints), so the scrape sees the final state.
 for _ in $(seq 1 300); do
-    grep -q '^current:' "$tmp/tuned.out" && break
+    grep -q '^current:' "$tmp/stcd.out" && break
     sleep 0.1
 done
 
