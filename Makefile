@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race race-stress vet bench bench-json bench-smoke check fuzz obs-smoke fleet-smoke chaos-smoke perfbench-smoke
+.PHONY: build test race race-stress vet bench bench-json bench-smoke check fuzz obs-smoke fleet-smoke chaos-smoke perfbench-smoke loc
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzChaosnetFraming -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzSearchMachine -fuzztime=$(FUZZTIME) ./internal/tuner/
+
+# Non-test Go lines outside perfbench/ (and the benchmark's build cache):
+# the code-size figure ROADMAP item 3 tracks from change to change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 
 # check is the tier-1 gate: build, vet, and the full test suite — which
 # includes the checkpoint round-trip/corruption-recovery tests and the

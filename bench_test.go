@@ -17,6 +17,7 @@ import (
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
+	"selftune/internal/engine"
 	"selftune/internal/fastsim"
 	"selftune/internal/sim"
 	"selftune/internal/trace"
@@ -446,13 +447,14 @@ func BenchmarkScalableSpace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := streams[i%len(streams)]
-		tuner.SearchScalable(geo, s.accs, p)
+		ev := tuner.EngineEvaluator{Eng: engine.New(s.accs, engine.Scalable(geo, p))}
+		tuner.SearchInSpace(ev, tuner.PaperOrder, tuner.GeometrySpace(geo))
 	}
 	b.StopTimer()
 
 	misses, examined := 0, 0
 	for _, s := range streams {
-		ev := tuner.NewScalableEvaluator(geo, s.accs, p)
+		ev := tuner.EngineEvaluator{Eng: engine.New(s.accs, engine.Scalable(geo, p))}
 		h := tuner.SearchInSpace(ev, tuner.PaperOrder, tuner.GeometrySpace(geo))
 		x := tuner.ExhaustiveConfigs(ev, geo.Configs())
 		examined += h.NumExamined()

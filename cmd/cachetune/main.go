@@ -234,7 +234,7 @@ func pickSource(ofl *obs.Flags, wl, kernel, traceFile string, n int, lenient boo
 				return nil, 0, err
 			}
 			if skipped > 0 {
-				ofl.Notef(os.Stderr, "cachetune: skipped %d malformed trace lines\n", skipped)
+				ofl.Notef(os.Stderr, "cachetune: skipped %d malformed trace lines", skipped)
 			}
 			return trace.NewSliceSource(accs), 0, nil
 		}

@@ -90,7 +90,7 @@ func run() error {
 	if *csv {
 		return res.Table().WriteCSV(os.Stdout)
 	}
-	ofl.Notef(os.Stdout, "fault sweep: %d trials per cell, seed %d, %d accesses per benchmark\n",
+	ofl.Notef(os.Stdout, "fault sweep: %d trials per cell, seed %d, %d accesses per benchmark",
 		*trials, *seed, *n)
 	fmt.Print(res.Table().String())
 	return nil

@@ -212,7 +212,7 @@ func (t *telemetry) serveObs(health map[string]string, statusz func() any) (func
 	if err != nil {
 		return nil, err
 	}
-	t.ofl.Notef(t.stdout, "observability endpoints on http://%s/ (healthz, metrics, statusz, debug/pprof)\n", laddr)
+	t.ofl.Notef(t.stdout, "observability endpoints on http://%s/ (healthz, metrics, statusz, debug/pprof)", laddr)
 	go func() {
 		if serr := <-errc; serr != nil {
 			fmt.Fprintln(os.Stderr, "stcd: obs server:", serr)
@@ -229,7 +229,7 @@ func local(ctx context.Context, tel *telemetry, opts daemon.Options, accs []trac
 		return err
 	}
 	if d.Recovered() {
-		tel.ofl.Notef(tel.stdout, "recovered from checkpoint: %d accesses consumed, %d windows, config %v, tuning=%v\n",
+		tel.ofl.Notef(tel.stdout, "recovered from checkpoint: %d accesses consumed, %d windows, config %v, tuning=%v",
 			d.Consumed(), d.Windows(), d.Config(), d.Tuning())
 	}
 	stopObs, err := tel.serveObs(map[string]string{
@@ -249,7 +249,7 @@ func local(ctx context.Context, tel *telemetry, opts daemon.Options, accs []trac
 		return err
 	}
 	if interrupted {
-		tel.ofl.Notef(tel.stdout, "\ninterrupted; state persisted at %d accesses\n", d.Consumed())
+		tel.ofl.Notef(tel.stdout, "\ninterrupted; state persisted at %d accesses", d.Consumed())
 	}
 	fmt.Fprintf(tel.stdout, "consumed %d accesses, %d windows, %d re-tunes\n", d.Consumed(), d.Windows(), d.Retunes())
 	tb := report.NewTable("at", "event", "config", "window nJ")
@@ -270,7 +270,7 @@ func local(ctx context.Context, tel *telemetry, opts daemon.Options, accs []trac
 		// Hold the endpoints up after the summary so a scraper (or the CI
 		// smoke test) can read the final state; SIGINT/SIGTERM ends the
 		// wait early.
-		tel.ofl.Notef(tel.stdout, "stream done; serving observability endpoints for %v (interrupt to stop)\n", obsWait)
+		tel.ofl.Notef(tel.stdout, "stream done; serving observability endpoints for %v (interrupt to stop)", obsWait)
 		select {
 		case <-time.After(obsWait):
 		case <-ctx.Done():
@@ -299,7 +299,7 @@ func serveFleet(ctx context.Context, tel *telemetry, addr string, shutdownTimeou
 	if err != nil {
 		return err
 	}
-	tel.ofl.Notef(tel.stdout, "fleet ingest on %s (%d shards)\n", ln.Addr(), opts.Shards)
+	tel.ofl.Notef(tel.stdout, "fleet ingest on %s (%d shards)", ln.Addr(), opts.Shards)
 
 	var conns sync.WaitGroup
 	var liveMu sync.Mutex
@@ -338,7 +338,7 @@ func serveFleet(ctx context.Context, tel *telemetry, addr string, shutdownTimeou
 		}()
 	}
 
-	tel.ofl.Notef(tel.stdout, "interrupted; draining connections and persisting sessions\n")
+	tel.ofl.Notef(tel.stdout, "interrupted; draining connections and persisting sessions")
 	drained := make(chan struct{})
 	go func() {
 		conns.Wait()

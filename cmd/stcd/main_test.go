@@ -50,8 +50,9 @@ func TestPickStreamErrors(t *testing.T) {
 
 // TestLocalResumesFromCheckpoint runs local mode over a stream prefix, then
 // over the whole stream in the same -dir: the second run recovers from the
-// first run's checkpoint and reports exactly what one uninterrupted run over
-// the whole stream reports.
+// first run's checkpoint, notes it on one line with no blank line after it,
+// and reports exactly what one uninterrupted run over the whole stream
+// reports.
 func TestLocalResumesFromCheckpoint(t *testing.T) {
 	args := func(dir string, n string) []string {
 		return []string{"-workload", "jpeg", "-stream", "data", "-window", "2000", "-n", n, "-dir", dir}
@@ -69,9 +70,12 @@ func TestLocalResumesFromCheckpoint(t *testing.T) {
 	if err := run(args(dir, "200000"), &resumed); err != nil {
 		t.Fatal(err)
 	}
-	note, rest, ok := strings.Cut(resumed.String(), "\n\n")
+	note, rest, ok := strings.Cut(resumed.String(), "\n")
 	if !ok || !strings.HasPrefix(note, "recovered from checkpoint: ") {
 		t.Fatalf("second run did not recover from the first run's checkpoint:\n%s", resumed.String())
+	}
+	if strings.HasPrefix(rest, "\n") {
+		t.Fatalf("a blank line follows the recovery note:\n%s", resumed.String())
 	}
 	if rest != whole.String() {
 		t.Fatalf("resumed run reports\n%s\nbut one uninterrupted run reports\n%s", rest, whole.String())

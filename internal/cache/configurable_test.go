@@ -307,26 +307,35 @@ func TestSetConfigNoOpAndInvalid(t *testing.T) {
 	}
 }
 
-// Property: hits+misses == accesses, and a hit never fills sublines.
+// eightBank is a larger-than-paper geometry: eight 4 KB banks (4-32 KB, up
+// to 8 ways, lines to 128 B).
+func eightBank() Geometry { return Geometry{BankBytes: 4096, NumBanks: 8, MaxLineBytes: 128} }
+
+// Property: hits+misses == accesses, and a hit never fills sublines, on the
+// paper's geometry and a larger one.
 func TestQuickCounterInvariants(t *testing.T) {
-	f := func(seed int64, cfgIdx uint) bool {
-		all := AllConfigs()
-		c := MustConfigurable(all[cfgIdx%uint(len(all))])
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 300; i++ {
-			r := c.Access(uint32(rng.Intn(1<<15)), rng.Intn(4) == 0)
-			if r.Hit && r.SublinesFilled != 0 {
-				return false
+	f := func(geo Geometry) func(seed int64, cfgIdx uint) bool {
+		all := geo.Configs()
+		return func(seed int64, cfgIdx uint) bool {
+			c := mustGeometry(t, geo, all[cfgIdx%uint(len(all))])
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 300; i++ {
+				r := c.Access(uint32(rng.Intn(4*geo.MaxSizeBytes())), rng.Intn(4) == 0)
+				if r.Hit && r.SublinesFilled != 0 {
+					return false
+				}
+				if !r.Hit && r.SublinesFilled == 0 {
+					return false
+				}
 			}
-			if !r.Hit && r.SublinesFilled == 0 {
-				return false
-			}
+			st := c.Stats()
+			return st.Hits+st.Misses == st.Accesses
 		}
-		st := c.Stats()
-		return st.Hits+st.Misses == st.Accesses
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(5))}); err != nil {
-		t.Error(err)
+	for _, geo := range []Geometry{FourBank(), eightBank()} {
+		if err := quick.Check(f(geo), &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(5))}); err != nil {
+			t.Errorf("%+v: %v", geo, err)
+		}
 	}
 }
 
@@ -392,46 +401,67 @@ func TestQuickWayPredictionIsBehaviourNeutral(t *testing.T) {
 
 // Property: an arbitrary growth-only reconfiguration walk keeps the
 // counters coherent and never makes Contains lie: any address reported
-// present must hit on the next access.
+// present must hit on the next access. Checked on the paper's geometry and
+// a larger one.
 func TestQuickGrowthWalkInvariants(t *testing.T) {
-	growthOf := func(c Config) []Config {
-		var out []Config
-		for _, n := range AllConfigs() {
-			if c.Grows(n) && n != c {
-				out = append(out, n)
+	f := func(geo Geometry) func(seed int64) bool {
+		growthOf := func(c Config) []Config {
+			var out []Config
+			for _, n := range geo.Configs() {
+				if c.Grows(n) && n != c {
+					out = append(out, n)
+				}
 			}
+			return out
 		}
-		return out
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := MustConfigurable(MinConfig())
-		for step := 0; step < 6; step++ {
-			for i := 0; i < 300; i++ {
-				c.Access(uint32(rng.Intn(1<<15)), rng.Intn(4) == 0)
-			}
-			// Presence must be truthful.
-			for i := 0; i < 20; i++ {
-				a := uint32(rng.Intn(1 << 15))
-				if c.Contains(a) && !c.Access(a, false).Hit {
+		span := 4 * geo.MaxSizeBytes()
+		return func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := mustGeometry(t, geo, geo.MinConfig())
+			for step := 0; step < 6; step++ {
+				for i := 0; i < 300; i++ {
+					c.Access(uint32(rng.Intn(span)), rng.Intn(4) == 0)
+				}
+				// Presence must be truthful.
+				for i := 0; i < 20; i++ {
+					a := uint32(rng.Intn(span))
+					if c.Contains(a) && !c.Access(a, false).Hit {
+						return false
+					}
+				}
+				st := c.Stats()
+				if st.Hits+st.Misses != st.Accesses || st.SettleWritebacks != 0 {
+					return false
+				}
+				next := growthOf(c.Config())
+				if len(next) == 0 {
+					break
+				}
+				if err := c.SetConfig(next[rng.Intn(len(next))]); err != nil {
 					return false
 				}
 			}
-			st := c.Stats()
-			if st.Hits+st.Misses != st.Accesses || st.SettleWritebacks != 0 {
-				return false
-			}
-			next := growthOf(c.Config())
-			if len(next) == 0 {
-				break
-			}
-			if err := c.SetConfig(next[rng.Intn(len(next))]); err != nil {
-				return false
-			}
+			return true
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(29))}); err != nil {
-		t.Error(err)
+	for _, geo := range []Geometry{FourBank(), eightBank()} {
+		if err := quick.Check(f(geo), &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(29))}); err != nil {
+			t.Errorf("%+v: %v", geo, err)
+		}
+	}
+}
+
+// Access allocates nothing, on the paper's geometry and a larger one, with
+// way prediction and line concatenation on.
+func TestAccessAllocatesNothing(t *testing.T) {
+	for _, geo := range []Geometry{FourBank(), eightBank()} {
+		c := mustGeometry(t, geo, Config{SizeBytes: geo.MaxSizeBytes(), Ways: 2, LineBytes: 64, WayPredict: true})
+		var addr uint32
+		if n := testing.AllocsPerRun(1000, func() {
+			addr = addr*1664525 + 1013904223
+			c.Access(addr%uint32(4*geo.MaxSizeBytes()), addr&8 == 0)
+		}); n != 0 {
+			t.Errorf("%+v: Access allocates %v times per call", geo, n)
+		}
 	}
 }

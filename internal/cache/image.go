@@ -38,25 +38,26 @@ type FrameImage struct {
 
 // Image captures the cache's complete state. Caches with an attached victim
 // buffer are not snapshottable (the buffer's contents would be lost
-// silently), so Image refuses rather than producing a lossy snapshot.
+// silently), so Image refuses rather than producing a lossy snapshot; an
+// Image records no geometry, so only FourBank caches snapshot.
 func (c *Configurable) Image() (Image, error) {
 	if c.Victim != nil {
 		return Image{}, fmt.Errorf("cache: cannot snapshot a cache with an attached victim buffer")
+	}
+	if c.geo != FourBank() {
+		return Image{}, fmt.Errorf("cache: cannot snapshot a %d x %d B cache; images hold the four-bank geometry", c.geo.NumBanks, c.geo.BankBytes)
 	}
 	img := Image{
 		Cfg:   c.cfg,
 		Clock: c.clock,
 		Stats: c.stats,
-		Pred:  append([]uint8(nil), c.pred[:]...),
+		Pred:  append([]uint8(nil), c.pred...),
 	}
-	for b := range c.banks {
-		for r := range c.banks[b] {
-			f := c.banks[b][r]
-			if f.valid {
-				img.Frames = append(img.Frames, FrameImage{
-					Bank: b, Row: r, Dirty: f.dirty, Block: f.block, LastUse: f.lastUse,
-				})
-			}
+	for i, f := range c.frames {
+		if f.valid {
+			img.Frames = append(img.Frames, FrameImage{
+				Bank: i >> c.rowBits, Row: c.row(uint32(i)), Dirty: f.dirty, Block: f.block, LastUse: f.lastUse,
+			})
 		}
 	}
 	return img, nil
@@ -75,7 +76,7 @@ func RestoreConfigurable(img Image) (*Configurable, error) {
 	if len(img.Pred) != len(c.pred) {
 		return nil, fmt.Errorf("cache: restore: predictor table has %d entries, want %d", len(img.Pred), len(c.pred))
 	}
-	copy(c.pred[:], img.Pred)
+	copy(c.pred, img.Pred)
 	c.clock = img.Clock
 	c.stats = img.Stats
 	for _, f := range img.Frames {
@@ -85,10 +86,10 @@ func RestoreConfigurable(img Image) (*Configurable, error) {
 		if f.Block >= MaxBlocks {
 			return nil, fmt.Errorf("cache: restore: block %#x beyond the 32-bit address space", f.Block)
 		}
-		if row(f.Block) != f.Row {
+		if c.row(f.Block) != f.Row {
 			return nil, fmt.Errorf("cache: restore: block %#x cannot reside in row %d", f.Block, f.Row)
 		}
-		c.banks[f.Bank][f.Row] = frame{valid: true, dirty: f.Dirty, block: f.Block, lastUse: f.LastUse}
+		*c.frame(f.Bank, f.Row) = frame{valid: true, dirty: f.Dirty, block: f.Block, lastUse: f.LastUse}
 	}
 	return c, nil
 }

@@ -4,7 +4,7 @@
 // the end-of-interval dirty-line drain and the Equation 1 energy pricing
 // exactly once, memoises per-configuration results behind a mutex, and fans
 // sweeps out across a bounded worker pool. Every evaluator and experiment
-// sweep in the repository (tuner.TraceEvaluator, tuner.ScalableEvaluator,
+// sweep in the repository (tuner.TraceEvaluator, tuner.EngineEvaluator,
 // the exhaustive baselines, the ordering tournament, and the Table 1 /
 // Figure 2-4 / window-sensitivity experiment generators) routes through
 // this package, so the replay semantics are defined in one place and every
@@ -27,8 +27,8 @@ import (
 )
 
 // Simulator is the replay contract: a cache the engine can drive through a
-// reference stream and account for afterwards. cache.Configurable,
-// cache.Scalable and cache.Generic all implement it.
+// reference stream and account for afterwards. cache.Configurable and
+// cache.Generic both implement it.
 type Simulator interface {
 	cache.Simulator
 	// DirtyLines reports the dirty lines still resident at interval end;
@@ -98,12 +98,9 @@ type Result[C comparable] struct {
 // panicked — the transient-fault path (a faulty way, a wedged counter read)
 // of an in-situ tuner. The zero value means a single attempt, no retry.
 type RetryPolicy struct {
-	// Attempts is the maximum number of replay attempts per configuration
-	// (minimum 1; the zero value behaves as 1).
+	// Attempts is the maximum number of replay attempts per configuration,
+	// retried immediately (minimum 1; the zero value behaves as 1).
 	Attempts int
-	// Backoff is the wait before the second attempt; it doubles on each
-	// further attempt. Zero means retry immediately.
-	Backoff time.Duration
 }
 
 func (rp RetryPolicy) attempts() int {
@@ -465,36 +462,21 @@ func (e *Engine[C]) leadFused(ctx context.Context, cfgs []C, wg *sync.WaitGroup)
 // panicked on every attempt fails every covered configuration with the same
 // deterministic error.
 func (e *Engine[C]) fusedReplay(ctx context.Context, cfgs []C) ([]Result[C], error) {
-	backoff := e.Retry.Backoff
-	var lastErr error
-	for attempt := 1; attempt <= e.Retry.attempts(); attempt++ {
-		if attempt > 1 {
-			e.met.Retries.Add(1)
-			if rec := e.rec(); rec.Enabled() {
-				rec.Record(obs.Event{Name: "engine.retry", Config: "fused",
-					Fields: []slog.Attr{slog.Int("attempt", attempt), slog.String("cause", lastErr.Error())}})
-			}
-			if backoff > 0 {
-				if err := sleepCtx(ctx, backoff); err != nil {
-					return nil, err
-				}
-				backoff *= 2
-			}
-		}
-		rs, err := e.fusedReplayOnce(ctx, cfgs)
-		if err == nil {
-			return rs, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		lastErr = err
+	var rs []Result[C]
+	failed, err := e.retry(ctx, func() string { return "fused" }, func() (err error) {
+		rs, err = e.fusedReplayOnce(ctx, cfgs)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	out := make([]Result[C], len(cfgs))
-	for i, c := range cfgs {
-		out[i] = Result[C]{Cfg: c, Err: lastErr}
+	if failed != nil {
+		rs = make([]Result[C], len(cfgs))
+		for i, c := range cfgs {
+			rs[i] = Result[C]{Cfg: c, Err: failed}
+		}
 	}
-	return out, nil
+	return rs, nil
 }
 
 // fusedReplayOnce is the fused replay loop: one cold fused kernel, the whole
@@ -540,48 +522,41 @@ func (e *Engine[C]) fusedReplayOnce(ctx context.Context, cfgs []C) (rs []Result[
 // attempt comes back as a Result with Err set (and is memoised, keeping
 // deterministic fault plans deterministic).
 func (e *Engine[C]) replay(ctx context.Context, cfg C) (Result[C], error) {
-	backoff := e.Retry.Backoff
-	var lastErr error
-	for attempt := 1; attempt <= e.Retry.attempts(); attempt++ {
-		if attempt > 1 {
-			e.met.Retries.Add(1)
-			if rec := e.rec(); rec.Enabled() {
-				rec.Record(obs.Event{Name: "engine.retry", Config: fmt.Sprint(cfg),
-					Fields: []slog.Attr{slog.Int("attempt", attempt), slog.String("cause", lastErr.Error())}})
-			}
-			if backoff > 0 {
-				if err := sleepCtx(ctx, backoff); err != nil {
-					return Result[C]{Cfg: cfg}, err
-				}
-				backoff *= 2
-			}
-		}
-		r, err := e.replayOnce(ctx, cfg)
-		if err == nil {
-			return r, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return Result[C]{Cfg: cfg}, cerr
-		}
-		lastErr = err
+	var r Result[C]
+	failed, err := e.retry(ctx, func() string { return fmt.Sprint(cfg) }, func() (err error) {
+		r, err = e.replayOnce(ctx, cfg)
+		return err
+	})
+	if err != nil {
+		return Result[C]{Cfg: cfg}, err
 	}
-	return Result[C]{Cfg: cfg, Err: lastErr}, nil
+	if failed != nil {
+		return Result[C]{Cfg: cfg, Err: failed}, nil
+	}
+	return r, nil
 }
 
-// sleepCtx waits out a retry backoff or returns ctx.Err() the moment the
-// context is cancelled, whichever comes first. The explicit timer (rather
-// than time.After) is stopped on the cancellation path, so an aborted sweep
-// releases its timers immediately instead of leaving one ticking per
-// backed-off replay until the full backoff elapses.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+// retry is the one retry loop: it runs attempt up to Retry.attempts()
+// times, recording an engine.retry event labelled config() before each
+// retry. err is reserved for context cancellation; failed is the last
+// attempt's error when every attempt failed, and nil once one succeeds.
+func (e *Engine[C]) retry(ctx context.Context, config func() string, attempt func() error) (failed, err error) {
+	for n := 1; n <= e.Retry.attempts(); n++ {
+		if n > 1 {
+			e.met.Retries.Add(1)
+			if rec := e.rec(); rec.Enabled() {
+				rec.Record(obs.Event{Name: "engine.retry", Config: config(),
+					Fields: []slog.Attr{slog.Int("attempt", n), slog.String("cause", failed.Error())}})
+			}
+		}
+		if failed = attempt(); failed == nil {
+			return nil, nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
 	}
+	return failed, nil
 }
 
 // ctxCheckInterval is how many accesses the replay loop runs between

@@ -22,13 +22,19 @@ func Configurable(p *energy.Params) Model[cache.Config] {
 	}
 }
 
-// Scalable is the model of the generalised N-bank configurable cache priced
-// with the geometry-aware model — the §3.4 larger-cache study. It has no
-// fast kernel yet; replays always use the reference simulator.
+// Scalable is the model of the configurable cache on an arbitrary geometry
+// priced with the geometry-aware model — the §3.4 larger-cache study. It
+// has no fast kernel; replays always use the reference simulator.
 func Scalable(geo cache.Geometry, p *energy.Params) Model[cache.Config] {
 	m := energy.ScalableModel{P: p, Geo: geo}
 	return Model[cache.Config]{
-		Build: func(cfg cache.Config) Simulator { return cache.MustScalable(geo, cfg) },
+		Build: func(cfg cache.Config) Simulator {
+			c, err := cache.NewConfigurableGeometry(geo, cfg)
+			if err != nil {
+				panic(err)
+			}
+			return c
+		},
 		Price: m.Evaluate,
 	}
 }

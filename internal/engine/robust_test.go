@@ -10,7 +10,6 @@ import (
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
-	"selftune/internal/obs"
 )
 
 // crashSim panics after a fixed number of accesses — a transient simulator
@@ -207,57 +206,5 @@ func TestReevaluateDropsMemo(t *testing.T) {
 	}
 	if first.Energy != second.Energy || first.Stats != second.Stats {
 		t.Error("deterministic model diverged across Reevaluate")
-	}
-}
-
-// TestBackoffCancellation pins that cancelling a sweep mid-backoff returns
-// promptly: a retry policy with a long backoff must not delay SweepCtx
-// cancellation until the sleep elapses.
-func TestBackoffCancellation(t *testing.T) {
-	p := energy.DefaultParams()
-	data := dataStream(t, "crc", 10_000)
-	m := Configurable(p)
-	inner := m.Build
-	m.Build = func(cfg cache.Config) Simulator {
-		// Crash immediately on every attempt so the engine is always
-		// either replaying briefly or backing off.
-		return &crashSim{inner: inner(cfg), after: 1}
-	}
-	e := New(data, m, WithReferenceSim()) // the instrumented reference factory must be the one used
-	e.Retry = RetryPolicy{Attempts: 5, Backoff: time.Hour}
-	// The retry event is recorded just before the backoff sleep starts, so
-	// cancelling from it lands in the backoff.
-	ctx, cancel := context.WithCancel(context.Background())
-	e.Rec = onEvent{name: "engine.retry", fn: cancel}
-
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		_, err := e.EvaluateCtx(ctx, cache.BaseConfig())
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("backed-off evaluate returned %v, want context.Canceled", err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("cancellation took %v; the hour-long backoff leaked into it", elapsed)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancellation never interrupted the retry backoff")
-	}
-}
-
-// onEvent is a recorder that calls fn on every event named name.
-type onEvent struct {
-	name string
-	fn   func()
-}
-
-func (o onEvent) Enabled() bool { return true }
-func (o onEvent) Record(ev obs.Event) {
-	if ev.Name == o.name {
-		o.fn()
 	}
 }

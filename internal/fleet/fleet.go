@@ -114,12 +114,6 @@ type Options struct {
 	// instead of quarantining again. Default 3; negative disables revival
 	// entirely, so every failure is terminal.
 	MaxRevives int
-	// ReviveBackoffBatches is the quarantine backoff base, counted in
-	// submissions to the quarantined session (never wall-clock — the house
-	// determinism invariant): the first quarantine holds for this many
-	// Submit calls, doubling on each subsequent quarantine of the same
-	// session. Default 2.
-	ReviveBackoffBatches int
 	// Configure, when non-nil, adjusts one session's daemon options after
 	// the fleet fills the template, at open and at every revival — the
 	// fault-injection seam for the chaos harness and a per-tenant tuning
@@ -148,9 +142,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxRevives == 0 {
 		o.MaxRevives = 3
-	}
-	if o.ReviveBackoffBatches <= 0 {
-		o.ReviveBackoffBatches = 2
 	}
 }
 
@@ -719,6 +710,12 @@ func (m *Manager) revive(s *session) error {
 	return &HealthError{SID: s.id, State: Active, Cause: cause.Error(), Revived: true}
 }
 
+// reviveBackoffBatches is the quarantine backoff base, counted in
+// submissions to the quarantined session (never wall-clock — the house
+// determinism invariant): the first quarantine holds for this many Submit
+// calls, doubling on each subsequent quarantine of the same session.
+const reviveBackoffBatches = 2
+
 // quarantine moves an Active session out of service after a worker failure:
 // its daemon is dropped (the last good checkpoint generation stays on disk),
 // and the session either waits out a batch-count backoff before revival or
@@ -737,7 +734,7 @@ func (m *Manager) quarantine(s *session, cause error) {
 	} else {
 		s.health = Quarantined
 		// Deterministic batch-count backoff, doubling per revival.
-		s.backoff = m.opts.ReviveBackoffBatches << s.revives
+		s.backoff = reviveBackoffBatches << s.revives
 	}
 	backoff := s.backoff
 	revives := s.revives

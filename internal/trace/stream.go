@@ -37,7 +37,7 @@ const (
 // Feed decodes every complete record of the stream so far, appending the
 // accesses to dst (which may be nil) and returning it. The first malformed
 // byte poisons the decoder: the error is returned now and on every later
-// call, mirroring Reader's sticky-error contract.
+// call.
 func (d *StreamDecoder) Feed(p []byte, dst []Access) ([]Access, error) {
 	if d.err != nil {
 		return dst, d.err

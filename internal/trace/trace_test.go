@@ -103,12 +103,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-1]
-	r, err := NewReader(bytes.NewReader(trunc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	Collect(r, 0)
-	if r.Err() == nil {
+	if _, err := Decode(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated stream decoded without error")
 	}
 }

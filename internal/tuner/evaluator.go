@@ -86,10 +86,11 @@ func (e *TraceEvaluator) Engine() *engine.Engine[cache.Config] { return e.eng }
 // Params exposes the energy model used.
 func (e *TraceEvaluator) Params() *energy.Params { return e.params }
 
-// EngineEvaluator adapts an arbitrary four-bank replay engine — typically
-// one whose model is wrapped with fault injectors — to the Evaluator,
+// EngineEvaluator adapts an arbitrary configurable-cache replay engine —
+// typically one whose model is wrapped with fault injectors, or one built
+// with engine.Scalable for a larger geometry — to the Evaluator,
 // BatchEvaluator and Remeasurer interfaces. TraceEvaluator is the clean
-// special case of this.
+// four-bank special case of this.
 type EngineEvaluator struct {
 	Eng *engine.Engine[cache.Config]
 }

@@ -7,6 +7,7 @@ import (
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
+	"selftune/internal/engine"
 	"selftune/internal/trace"
 	"selftune/internal/workload"
 )
@@ -23,7 +24,7 @@ func TestEvaluatorsSafeUnderConcurrentEvaluate(t *testing.T) {
 	geo := cache.FourBank()
 
 	ev := NewTraceEvaluator(data, p)
-	sev := NewScalableEvaluator(geo, data, p)
+	sev := EngineEvaluator{Eng: engine.New(data, engine.Scalable(geo, p))}
 	configs := cache.AllConfigs()
 
 	const goroutines = 8
@@ -48,13 +49,13 @@ func TestEvaluatorsSafeUnderConcurrentEvaluate(t *testing.T) {
 	wg.Wait()
 
 	fresh := NewTraceEvaluator(data, p)
-	sfresh := NewScalableEvaluator(geo, data, p)
+	sfresh := EngineEvaluator{Eng: engine.New(data, engine.Scalable(geo, p))}
 	for _, cfg := range configs {
 		if got, want := ev.Evaluate(cfg), fresh.Evaluate(cfg); !reflect.DeepEqual(got, want) {
 			t.Errorf("TraceEvaluator %v drifted under concurrency: %+v vs %+v", cfg, got, want)
 		}
 		if got, want := sev.Evaluate(cfg), sfresh.Evaluate(cfg); !reflect.DeepEqual(got, want) {
-			t.Errorf("ScalableEvaluator %v drifted under concurrency: %+v vs %+v", cfg, got, want)
+			t.Errorf("geometry EngineEvaluator %v drifted under concurrency: %+v vs %+v", cfg, got, want)
 		}
 	}
 }
