@@ -24,9 +24,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$'
 
 # One iteration of the serving path's micro-benchmarks (ingest decoder and
-# settled kernel, ns/access), so they keep compiling and running.
+# settled kernel) and of stream production (generate, encode, split), all
+# ns/access, so they keep compiling and running.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^(BenchmarkStreamDecoderFeed|BenchmarkKernelUnified)$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^(BenchmarkStreamDecoderFeed|BenchmarkKernelUnified|BenchmarkGenerate|BenchmarkEncode|BenchmarkSplit)$$' -benchtime=1x .
 
 # Fast-kernel vs reference throughput on the standard sweep shapes,
 # recorded machine-readably (see cmd/stcbench; BENCH_10.json is committed).

@@ -11,6 +11,7 @@ package selftune_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -582,4 +583,63 @@ func BenchmarkKernelUnified(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
 		})
 	}
+}
+
+// The stream-production benchmarks time what every reproduction, generated
+// stcd stream and fleet round pays once per stream before any simulation:
+// generating the serving profiles, encoding them as STRC and splitting them
+// into I/D halves.
+
+// BenchmarkGenerate times workload generation of the serving streams.
+func BenchmarkGenerate(b *testing.B) {
+	var profs []*workload.Profile
+	for _, s := range servingStreams {
+		prof, ok := workload.ByName(s.profile)
+		if !ok {
+			b.Fatalf("unknown profile %q", s.profile)
+		}
+		profs = append(profs, prof)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, prof := range profs {
+			prof.Generate(servingAccesses)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(profs)*servingAccesses), "ns/access")
+}
+
+// BenchmarkEncode times the STRC encoder on the serving streams.
+func BenchmarkEncode(b *testing.B) {
+	var streams [][]trace.Access
+	for _, s := range servingStreams {
+		streams = append(streams, servingTrace(b, s.profile))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, accs := range streams {
+			if err := trace.Encode(io.Discard, accs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(streams)*servingAccesses), "ns/access")
+}
+
+// BenchmarkSplit times the I/D partition of the serving streams.
+func BenchmarkSplit(b *testing.B) {
+	var streams [][]trace.Access
+	for _, s := range servingStreams {
+		streams = append(streams, servingTrace(b, s.profile))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, accs := range streams {
+			trace.Split(trace.NewSliceSource(accs))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(streams)*servingAccesses), "ns/access")
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,63 +14,32 @@ var magic = [4]byte{'S', 'T', 'R', 'C'}
 
 const codecVersion = 1
 
-// Writer encodes accesses to an io.Writer.
-type Writer struct {
-	w    *bufio.Writer
-	prev [3]uint32 // previous address per kind
-	err  error
-}
+// encodeChunk is how many bytes Encode builds before each write to w.
+const encodeChunk = 64 << 10
 
-// NewWriter writes the header and returns an encoder.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(codecVersion); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write encodes one access.
-func (w *Writer) Write(a Access) error {
-	if w.err != nil {
-		return w.err
-	}
-	if a.Kind > DataWrite {
-		w.err = fmt.Errorf("trace: invalid kind %d", a.Kind)
-		return w.err
-	}
-	var buf [binary.MaxVarintLen64 + 1]byte
-	buf[0] = byte(a.Kind)
-	delta := int64(a.Addr) - int64(w.prev[a.Kind])
-	n := binary.PutVarint(buf[1:], delta)
-	w.prev[a.Kind] = a.Addr
-	_, w.err = w.w.Write(buf[:n+1])
-	return w.err
-}
-
-// Flush commits buffered records.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
-// Encode writes a whole recorded stream.
+// Encode writes a whole recorded stream. Each record is appended to one
+// fixed-size chunk, which goes to w whenever the next record might not fit
+// and once more at the end, so the chunk is the only allocation however
+// long the stream.
 func Encode(w io.Writer, accs []Access) error {
-	tw, err := NewWriter(w)
-	if err != nil {
-		return err
-	}
+	buf := make([]byte, 0, encodeChunk)
+	buf = append(append(buf, magic[:]...), codecVersion)
+	var prev [3]uint32 // previous address per kind
 	for _, a := range accs {
-		if err := tw.Write(a); err != nil {
-			return err
+		if a.Kind > DataWrite {
+			return fmt.Errorf("trace: invalid kind %d", a.Kind)
 		}
+		if len(buf) > encodeChunk-maxRecord {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = binary.AppendVarint(append(buf, byte(a.Kind)), int64(a.Addr)-int64(prev[a.Kind]))
+		prev[a.Kind] = a.Addr
 	}
-	return tw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // decodeChunk is how many bytes Decode reads per StreamDecoder.Feed.

@@ -12,7 +12,7 @@ import (
 // session's wire payload to one of these as frames land, without ever
 // holding a whole trace in memory or blocking on an io.Reader. The
 // concatenation of everything fed to one decoder must be exactly the byte
-// stream Writer produces (header included).
+// stream Encode produces (header included).
 //
 // Feed decodes straight from the caller's chunk: only a header or record
 // split across chunks is copied, into a tail buffer of at most one record,

@@ -120,38 +120,38 @@ func OnlyData(src Source) *Filter {
 	return NewFilter(src, func(a Access) bool { return a.IsData() })
 }
 
-// Limit yields at most n accesses from src.
-type Limit struct {
-	src  Source
-	left int
-}
-
-// NewLimit wraps src.
-func NewLimit(src Source, n int) *Limit { return &Limit{src: src, left: n} }
-
-// Next implements Source.
-func (l *Limit) Next() (Access, bool) {
-	if l.left <= 0 {
-		return Access{}, false
-	}
-	l.left--
-	return l.src.Next()
-}
-
-// Split partitions a mixed stream into its instruction and data halves by
-// draining src once.
+// Split partitions a mixed stream into its instruction and data halves,
+// each allocated at its exact length (nil when empty). A *SliceSource is
+// partitioned straight from its remaining slice and left drained; any
+// other source is collected first.
 func Split(src Source) (inst, data []Access) {
-	for {
-		a, ok := src.Next()
-		if !ok {
-			return inst, data
+	var accs []Access
+	if s, ok := src.(*SliceSource); ok {
+		accs = s.accs[s.pos:]
+		s.pos = len(s.accs)
+	} else {
+		accs = Collect(src, 0)
+	}
+	ni := 0
+	for _, a := range accs {
+		if a.Kind == InstFetch {
+			ni++
 		}
+	}
+	if ni > 0 {
+		inst = make([]Access, 0, ni)
+	}
+	if ni < len(accs) {
+		data = make([]Access, 0, len(accs)-ni)
+	}
+	for _, a := range accs {
 		if a.Kind == InstFetch {
 			inst = append(inst, a)
 		} else {
 			data = append(data, a)
 		}
 	}
+	return inst, data
 }
 
 // Summary describes a reference stream.

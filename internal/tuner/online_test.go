@@ -151,7 +151,8 @@ func TestOnlineAbort(t *testing.T) {
 // many sessions mid-search and dropping them without Abort leaves no
 // goroutine behind.
 func TestOnlineSpawnsNoGoroutines(t *testing.T) {
-	accs := dataStream(t, "crc", 20_000)[:3_000]
+	// 25k mixed accesses hold 3,261 crc data accesses.
+	accs := dataStream(t, "crc", 25_000)[:3_000]
 	before := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
 		o := NewOnline(cache.MustConfigurable(cache.MinConfig()), energy.DefaultParams(), OnlineOptions{Window: 1_000})
