@@ -15,10 +15,7 @@
 // and an MRU way predictor may be enabled on set-associative configurations.
 package cache
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Physical geometry of the configurable cache (ISCA'03 design).
 const (
@@ -38,14 +35,6 @@ const (
 	MaxBlocks = 1 << (32 - 4)
 )
 
-// SizeValues, AssocValues and LineValues list the tunable parameter values in
-// the sweep order the heuristic uses (paper §3.4: C[1..n], A[1..m], L[1..p]).
-var (
-	SizeValues  = []int{2048, 4096, 8192}
-	AssocValues = []int{1, 2, 4}
-	LineValues  = []int{16, 32, 64}
-)
-
 // Config selects one configuration of the configurable cache.
 type Config struct {
 	// SizeBytes is the total active capacity: 2048, 4096 or 8192.
@@ -60,34 +49,9 @@ type Config struct {
 	WayPredict bool
 }
 
-// Validate reports whether c is one of the 27 realisable configurations.
-func (c Config) Validate() error {
-	switch c.SizeBytes {
-	case 2048:
-		if c.Ways != 1 {
-			return fmt.Errorf("cache: 2 KB is only realisable direct-mapped (got %d ways): size is reduced by way shutdown", c.Ways)
-		}
-	case 4096:
-		if c.Ways != 1 && c.Ways != 2 {
-			return fmt.Errorf("cache: 4 KB supports 1 or 2 ways (got %d)", c.Ways)
-		}
-	case 8192:
-		if c.Ways != 1 && c.Ways != 2 && c.Ways != 4 {
-			return fmt.Errorf("cache: 8 KB supports 1, 2 or 4 ways (got %d)", c.Ways)
-		}
-	default:
-		return fmt.Errorf("cache: invalid size %d bytes (want 2048, 4096 or 8192)", c.SizeBytes)
-	}
-	switch c.LineBytes {
-	case 16, 32, 64:
-	default:
-		return fmt.Errorf("cache: invalid line size %d bytes (want 16, 32 or 64)", c.LineBytes)
-	}
-	if c.WayPredict && c.Ways == 1 {
-		return fmt.Errorf("cache: way prediction requires a set-associative configuration")
-	}
-	return nil
-}
+// Validate reports whether c is one of the 27 realisable configurations of
+// the paper's four-bank cache (FourBank's rules).
+func (c Config) Validate() error { return FourBank().ValidateConfig(c) }
 
 // Sets returns the number of logical sets (at physical-line granularity the
 // row count is fixed; Sets reflects the logical view size/ways/line).
@@ -135,9 +99,7 @@ func ParseConfig(s string) (Config, error) {
 
 // MinConfig is the heuristic's starting point: the smallest cache,
 // direct-mapped, with the smallest line and prediction off (paper §3.4).
-func MinConfig() Config {
-	return Config{SizeBytes: 2048, Ways: 1, LineBytes: 16}
-}
+func MinConfig() Config { return FourBank().MinConfig() }
 
 // BaseConfig is the fixed four-way set-associative base cache that Table 1
 // energy savings are reported against.
@@ -146,28 +108,8 @@ func BaseConfig() Config {
 }
 
 // AllConfigs enumerates the 27 valid configurations in deterministic order
-// (size, then ways, then line, then prediction).
-func AllConfigs() []Config {
-	var out []Config
-	for _, size := range SizeValues {
-		for _, ways := range AssocValues {
-			for _, line := range LineValues {
-				c := Config{SizeBytes: size, Ways: ways, LineBytes: line}
-				if c.Validate() != nil {
-					continue
-				}
-				out = append(out, c)
-				if ways > 1 {
-					p := c
-					p.WayPredict = true
-					out = append(out, p)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
-}
+// (size, then ways, then line, then prediction): FourBank().Configs().
+func AllConfigs() []Config { return FourBank().Configs() }
 
 // BaseConfigs enumerates the 18 configurations with way prediction off
 // (the configuration space of Figures 3 and 4).
@@ -179,19 +121,6 @@ func BaseConfigs() []Config {
 		}
 	}
 	return out
-}
-
-func (c Config) less(o Config) bool {
-	if c.SizeBytes != o.SizeBytes {
-		return c.SizeBytes < o.SizeBytes
-	}
-	if c.Ways != o.Ways {
-		return c.Ways < o.Ways
-	}
-	if c.LineBytes != o.LineBytes {
-		return c.LineBytes < o.LineBytes
-	}
-	return !c.WayPredict && o.WayPredict
 }
 
 // Grows reports whether switching from c to next only grows capacity and

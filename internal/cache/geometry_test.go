@@ -37,23 +37,6 @@ func TestGeometryValueLists(t *testing.T) {
 	}
 }
 
-func TestGeometryConfigsCountFourBank(t *testing.T) {
-	// The paper geometry must enumerate exactly the 27 configurations.
-	got := FourBank().Configs()
-	if len(got) != 27 {
-		t.Fatalf("FourBank().Configs() = %d, want 27", len(got))
-	}
-	want := map[Config]bool{}
-	for _, c := range AllConfigs() {
-		want[c] = true
-	}
-	for _, c := range got {
-		if !want[c] {
-			t.Errorf("scalable enumeration produced %v, not in paper space", c)
-		}
-	}
-}
-
 func TestGeometryConfigsLargerSpace(t *testing.T) {
 	g := Geometry{BankBytes: 4096, NumBanks: 8, MaxLineBytes: 128}
 	// size/assoc combos: 1+2+3+4 banks-as-log = for active=1:1, 2:2,

@@ -11,19 +11,28 @@
 // The configurable cache exposes exactly the six hit energies, three miss
 // energies and three static powers the tuner datapath stores in registers
 // (paper §3.5); HitTable/MissTable/StaticTable expose those values.
+//
+// EvaluateOn prices a configuration of any cache.Geometry — the §3.4
+// larger-cache study — with the bank size and tag width that geometry
+// fixes; Evaluate and the per-term methods are that pricing on the paper's
+// cache.FourBank().
 package energy
 
 import (
 	"fmt"
+	"math/bits"
 
 	"selftune/internal/cache"
 	"selftune/internal/cacti"
 )
 
-// FullTagBits is the tag width of the configurable cache: the paper's design
-// always checks the full tag (address bits above the 16 B offset and the
-// 2 KB bank row), which is what makes associativity changes flush-free.
-const FullTagBits = 32 - 4 - 7 // 21
+// tagBits is the stored tag width of a configurable cache on geo: the
+// paper's design always checks the full tag (address bits above the 16 B
+// offset and the bank row), which is what makes associativity changes
+// flush-free. It is 21 on FourBank.
+func tagBits(geo cache.Geometry) int {
+	return 32 - 4 - bits.TrailingZeros(uint(geo.BankBytes/cache.PhysLineBytes))
+}
 
 // Params holds the calibrated energy model. Construct with DefaultParams and
 // override fields for sensitivity studies.
@@ -92,33 +101,33 @@ func DefaultParams() *Params {
 // Calibrate rescales the cacti model so a single-bank (2 KB, one way, 16 B)
 // read costs target joules.
 func (p *Params) Calibrate(target float64) {
+	geo := cache.FourBank()
 	p.Tech.CalibrationScale = 1.0
-	raw := p.Tech.ReadEnergy(cache.BankBytes, 1, cache.PhysLineBytes, FullTagBits)
+	raw := p.Tech.ReadEnergy(geo.BankBytes, 1, cache.PhysLineBytes, tagBits(geo))
 	p.Tech.CalibrationScale = target / raw
 }
 
-// routeEnergy is the bank-select/routing overhead of a configuration with
-// the given total active size.
-func (p *Params) routeEnergy(sizeBytes int) float64 {
-	banks := sizeBytes / cache.BankBytes
-	return float64(banks-1) * p.BankRouteEnergy
+// probeEnergy is the energy of reading ways of geo's bank arrays
+// concurrently at the given total active size, plus the bank-select and
+// routing overhead of each active bank beyond the first. Line size does not
+// matter because the physical access is always 16 B (paper §3.5).
+func (p *Params) probeEnergy(geo cache.Geometry, ways, sizeBytes int) float64 {
+	return p.Tech.ReadEnergy(geo.BankBytes, ways, cache.PhysLineBytes, tagBits(geo)) +
+		float64(sizeBytes/geo.BankBytes-1)*p.BankRouteEnergy
 }
 
 // HitEnergy returns E_hit for a full (non-predicted) access under cfg: all
 // cfg.Ways banks' arrays are read concurrently, plus the routing overhead
-// of the active banks. Line size does not matter because the physical
-// access is always 16 B (paper §3.5).
+// of the active banks.
 func (p *Params) HitEnergy(cfg cache.Config) float64 {
-	return p.Tech.ReadEnergy(cache.BankBytes, cfg.Ways, cache.PhysLineBytes, FullTagBits) +
-		p.routeEnergy(cfg.SizeBytes)
+	return p.probeEnergy(cache.FourBank(), cfg.Ways, cfg.SizeBytes)
 }
 
 // OneWayEnergy returns the energy of a single-way probe at the given total
 // size (a correct way prediction reads one way only, but still pays the
 // active-bank routing).
 func (p *Params) OneWayEnergy(sizeBytes int) float64 {
-	return p.Tech.ReadEnergy(cache.BankBytes, 1, cache.PhysLineBytes, FullTagBits) +
-		p.routeEnergy(sizeBytes)
+	return p.probeEnergy(cache.FourBank(), 1, sizeBytes)
 }
 
 // MissLatency returns the stall cycles of one miss fetching a lineBytes line.
@@ -131,10 +140,15 @@ func (p *Params) OffChipEnergy(n int) float64 {
 	return p.OffChipRequestEnergy + float64(n)*p.OffChipPerByteEnergy
 }
 
+// sublineFillEnergy is the energy to write one 16 B physical line into one
+// of geo's banks.
+func (p *Params) sublineFillEnergy(geo cache.Geometry) float64 {
+	return p.Tech.WriteEnergy(geo.BankBytes, cache.PhysLineBytes, tagBits(geo))
+}
+
 // FillEnergy returns the energy to write a fetched line into the cache.
 func (p *Params) FillEnergy(lineBytes int) float64 {
-	per := p.Tech.WriteEnergy(cache.BankBytes, cache.PhysLineBytes, FullTagBits)
-	return float64(lineBytes/cache.PhysLineBytes) * per
+	return float64(lineBytes/cache.PhysLineBytes) * p.sublineFillEnergy(cache.FourBank())
 }
 
 // MissEnergy returns E_miss = E_offchip_access + E_uP_stall + E_fill for a
@@ -144,15 +158,24 @@ func (p *Params) MissEnergy(lineBytes int) float64 {
 	return p.OffChipEnergy(lineBytes) + stall + p.FillEnergy(lineBytes)
 }
 
+// writebackEnergy is the energy to write one dirty 16 B physical line of
+// geo back to memory: one bank read plus the off-chip write.
+func (p *Params) writebackEnergy(geo cache.Geometry) float64 {
+	return p.probeEnergy(geo, 1, geo.BankBytes) + p.OffChipEnergy(cache.PhysLineBytes)
+}
+
 // WritebackEnergy returns the energy to write one dirty 16 B physical line
 // back to memory (one bank read + off-chip write).
-func (p *Params) WritebackEnergy() float64 {
-	return p.OneWayEnergy(cache.BankBytes) + p.OffChipEnergy(cache.PhysLineBytes)
+func (p *Params) WritebackEnergy() float64 { return p.writebackEnergy(cache.FourBank()) }
+
+// staticPerCycle is the leakage energy per cycle of sizeBytes active on geo.
+func (p *Params) staticPerCycle(geo cache.Geometry, sizeBytes int) float64 {
+	return p.Tech.LeakagePower(sizeBytes, tagBits(geo)) / p.ClockHz
 }
 
 // StaticEnergyPerCycle returns leakage energy per cycle for an active size.
 func (p *Params) StaticEnergyPerCycle(sizeBytes int) float64 {
-	return p.Tech.LeakagePower(sizeBytes, FullTagBits) / p.ClockHz
+	return p.staticPerCycle(cache.FourBank(), sizeBytes)
 }
 
 // Cycles estimates execution cycles attributable to this cache's accesses:
@@ -202,14 +225,23 @@ func (b Breakdown) String() string {
 		b.Total()*1e9, b.CacheDynamic*1e9, b.Static*1e9, b.OffChipAccess*1e9, b.Stall*1e9, b.Fill*1e9, b.Writeback*1e9)
 }
 
-// Evaluate applies Equation 1 to an interval's counters under cfg.
+// Evaluate applies Equation 1 to an interval's counters under cfg on the
+// paper's four-bank cache.
 func (p *Params) Evaluate(cfg cache.Config, st cache.Stats) Breakdown {
+	return p.EvaluateOn(cache.FourBank(), cfg, st)
+}
+
+// EvaluateOn applies Equation 1 to an interval's counters under cfg on geo:
+// array energies, fills, writebacks and leakage use geo's bank size and tag
+// width; off-chip, stall, predictor and victim-buffer terms do not depend
+// on the geometry.
+func (p *Params) EvaluateOn(geo cache.Geometry, cfg cache.Config, st cache.Stats) Breakdown {
 	var b Breakdown
-	full := p.HitEnergy(cfg)
+	full := p.probeEnergy(geo, cfg.Ways, cfg.SizeBytes)
 	if cfg.WayPredict && cfg.Ways > 1 {
 		// Correct predictions probe one way; mispredictions probe the
 		// predicted way and then all ways' worth of arrays.
-		one := p.OneWayEnergy(cfg.SizeBytes)
+		one := p.probeEnergy(geo, 1, cfg.SizeBytes)
 		b.CacheDynamic = float64(st.PredHits)*one +
 			float64(st.PredMisses)*(one+full) +
 			float64(st.Accesses)*p.PredictorOverheadEnergy
@@ -221,7 +253,7 @@ func (p *Params) Evaluate(cfg cache.Config, st cache.Stats) Breakdown {
 	// way mispredictions.
 	b.Stall = (float64(st.Misses)*float64(p.MissLatency(cfg.LineBytes)) +
 		float64(st.ExtraCycles)) * p.StallPowerPerCycle
-	b.Fill = float64(st.SublinesFilled) * p.Tech.WriteEnergy(cache.BankBytes, cache.PhysLineBytes, FullTagBits)
+	b.Fill = float64(st.SublinesFilled) * p.sublineFillEnergy(geo)
 	if st.VictimProbes > 0 {
 		// Victim-buffer accounting: every probe costs a small FA lookup;
 		// every hit replaces an off-chip block fetch with an on-chip swap.
@@ -238,9 +270,9 @@ func (p *Params) Evaluate(cfg cache.Config, st cache.Stats) Breakdown {
 		}
 		b.Stall -= stallSave
 	}
-	b.Writeback = float64(st.Writebacks+st.SettleWritebacks) * p.WritebackEnergy()
+	b.Writeback = float64(st.Writebacks+st.SettleWritebacks) * p.writebackEnergy(geo)
 	b.Cycles = p.Cycles(cfg, st)
-	b.Static = float64(b.Cycles) * p.StaticEnergyPerCycle(cfg.SizeBytes)
+	b.Static = float64(b.Cycles) * p.staticPerCycle(geo, cfg.SizeBytes)
 	return b
 }
 

@@ -125,6 +125,28 @@ func TestWayPredictionSavesEnergyWhenAccurate(t *testing.T) {
 	}
 }
 
+// Pricing runs once per measurement window of every session, so it must
+// not allocate, on the paper's geometry or a larger one.
+func TestEvaluateAllocatesNothing(t *testing.T) {
+	p := DefaultParams()
+	st := cache.Stats{Accesses: 1000, Hits: 950, Misses: 50, SublinesFilled: 100, Writebacks: 10,
+		PredHits: 900, PredMisses: 100, ExtraCycles: 100, VictimProbes: 50, VictimHits: 20}
+	eight := cache.Geometry{BankBytes: 4096, NumBanks: 8, MaxLineBytes: 128}
+	cfg8 := cache.Config{SizeBytes: 32768, Ways: 4, LineBytes: 64, WayPredict: true}
+	var sink float64
+	for name, price := range map[string]func(){
+		"FourBank": func() { sink += p.Evaluate(cache.BaseConfig(), st).Total() },
+		"8x4KB":    func() { sink += p.EvaluateOn(eight, cfg8, st).Total() },
+	} {
+		if n := testing.AllocsPerRun(100, price); n != 0 {
+			t.Errorf("%s: %v allocations per pricing, want 0", name, n)
+		}
+	}
+	if sink <= 0 {
+		t.Error("non-positive energies")
+	}
+}
+
 func TestTunerEnergyEquation2(t *testing.T) {
 	p := DefaultParams()
 	// Paper §4: 2.69 mW, 200 MHz, 64 cycles/config, ~5.4 configs

@@ -15,14 +15,8 @@ type SizeAssoc struct {
 // physical line is 16 B.
 func (p *Params) HitTable() map[SizeAssoc]float64 {
 	out := make(map[SizeAssoc]float64, 6)
-	for _, size := range cache.SizeValues {
-		for _, ways := range cache.AssocValues {
-			cfg := cache.Config{SizeBytes: size, Ways: ways, LineBytes: 16}
-			if cfg.Validate() != nil {
-				continue
-			}
-			out[SizeAssoc{size, ways}] = p.HitEnergy(cfg)
-		}
+	for _, cfg := range cache.BaseConfigs() {
+		out[SizeAssoc{cfg.SizeBytes, cfg.Ways}] = p.HitEnergy(cfg)
 	}
 	return out
 }
@@ -31,7 +25,7 @@ func (p *Params) HitTable() map[SizeAssoc]float64 {
 // tuner registers hold.
 func (p *Params) MissTable() map[int]float64 {
 	out := make(map[int]float64, 3)
-	for _, line := range cache.LineValues {
+	for _, line := range cache.FourBank().LineValues() {
 		out[line] = p.MissEnergy(line)
 	}
 	return out
@@ -41,7 +35,7 @@ func (p *Params) MissTable() map[int]float64 {
 // size) the tuner registers hold.
 func (p *Params) StaticTable() map[int]float64 {
 	out := make(map[int]float64, 3)
-	for _, size := range cache.SizeValues {
+	for _, size := range cache.FourBank().SizeValues() {
 		out[size] = p.StaticEnergyPerCycle(size)
 	}
 	return out

@@ -58,4 +58,22 @@ func TestVictimBufferApproximatesAssociativity(t *testing.T) {
 	if closed < 0.7 {
 		t.Errorf("victim buffer closed only %.0f%% of the DM-vs-associative gap", 100*closed)
 	}
+
+	// The same holds on a larger geometry priced on that geometry: eight
+	// 4 KB banks, where the two regions conflict in the 4 KB direct-mapped
+	// configuration.
+	geo := cache.Geometry{BankBytes: 4096, NumBanks: 8, MaxLineBytes: 128}
+	geoDM := func(victim *cache.VictimBuffer) float64 {
+		c, err := cache.NewConfigurableGeometry(geo, geo.MinConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Victim = victim
+		return p.EvaluateOn(geo, geo.MinConfig(), runTrace(c, trace)).Total()
+	}
+	geoDME, geoVBE := geoDM(nil), geoDM(cache.NewVictimBuffer(8))
+	t.Logf("8x4 KB geometry: 4K DM: %.1f uJ   4K DM + 8-entry victim: %.1f uJ", geoDME*1e6, geoVBE*1e6)
+	if geoVBE >= geoDME/2 {
+		t.Errorf("victim buffer on %+v saved too little: %.3g vs %.3g J", geo, geoVBE, geoDME)
+	}
 }

@@ -23,10 +23,10 @@ func Configurable(p *energy.Params) Model[cache.Config] {
 }
 
 // Scalable is the model of the configurable cache on an arbitrary geometry
-// priced with the geometry-aware model — the §3.4 larger-cache study. It
-// has no fast kernel; replays always use the reference simulator.
+// priced by Equation 1 on that geometry — the §3.4 larger-cache study. On
+// cache.FourBank() its prices equal Configurable's bit for bit. It has no
+// fast kernel; replays always use the reference simulator.
 func Scalable(geo cache.Geometry, p *energy.Params) Model[cache.Config] {
-	m := energy.ScalableModel{P: p, Geo: geo}
 	return Model[cache.Config]{
 		Build: func(cfg cache.Config) Simulator {
 			c, err := cache.NewConfigurableGeometry(geo, cfg)
@@ -35,7 +35,9 @@ func Scalable(geo cache.Geometry, p *energy.Params) Model[cache.Config] {
 			}
 			return c
 		},
-		Price: m.Evaluate,
+		Price: func(cfg cache.Config, st cache.Stats) energy.Breakdown {
+			return p.EvaluateOn(geo, cfg, st)
+		},
 	}
 }
 

@@ -83,8 +83,8 @@ type Kernel struct {
 	nBanks  int
 	// predict is cfg.WayPredict (valid configurations imply Ways > 1).
 	predict bool
-	// predSelMask is 1 when the logical set index consumes address bit 11
-	// (8 KB two-way: way concatenation's bank-select bit), else 0.
+	// predSelMask is the part of the bank-select bits the logical set
+	// index consumes (see bankTable).
 	predSelMask uint32
 	// sublines is the logical line size in 16 B physical lines.
 	sublines uint32
@@ -121,36 +121,31 @@ func (k *Kernel) setTables(cfg cache.Config) {
 	k.predict = cfg.WayPredict
 	k.sublines = uint32(cfg.SublinesPerLine())
 	k.activeBanks = cfg.ActiveBanks()
-	k.predSelMask = 0
-	if cfg.SizeBytes == 8192 && cfg.Ways == 2 {
-		k.predSelMask = 1
-	}
-	// Transcribe cache.Configurable.candidateBanks for each value of the
-	// bank-select bits, preserving the probe order (it decides hit-probe
-	// and victim tie-breaks).
-	for sel := uint32(0); sel < 4; sel++ {
-		tab := &k.bankTab[sel]
-		switch {
-		case cfg.SizeBytes == 8192 && cfg.Ways == 4:
-			tab[0], tab[1], tab[2], tab[3] = 0, 1, 2, 3
-		case cfg.SizeBytes == 8192 && cfg.Ways == 2:
-			b := uint8(sel & 1)
-			tab[0], tab[1] = b, 2+b
-		case cfg.SizeBytes == 8192 && cfg.Ways == 1:
-			tab[0] = uint8(sel & 3)
-		case cfg.SizeBytes == 4096 && cfg.Ways == 2:
-			tab[0], tab[1] = 0, 1
-		case cfg.SizeBytes == 4096 && cfg.Ways == 1:
-			tab[0] = uint8(sel & 1)
-		default: // 2048, 1-way
-			tab[0] = 0
-		}
-		// Slots past the associativity repeat the last candidate, so the
-		// set-associative probe reads all four unconditionally.
-		for w := k.nBanks; w < cache.NumBanks; w++ {
-			tab[w] = tab[k.nBanks-1]
+	k.bankTab, k.predSelMask = bankTable(cfg)
+}
+
+// bankTable transcribes cache.Configurable's candidate banks for cfg, for
+// each value sel of the bank-select address bits (addr>>11)&3: way
+// concatenation leaves groups = active banks / ways bank groups, the first
+// candidate is the group select sel&(groups-1), and the others follow every
+// groups banks, Ways in all. The probe order is the reference's (it decides
+// hit-probe and victim tie-breaks). Slots past the associativity repeat the
+// last candidate, so a set-associative probe may read all four
+// unconditionally. predSelMask is the part of sel the way predictor's set
+// index consumes: groups-1 when set-associative (1 on 8 KB two-way), else
+// 0. Kernel and FusedKernel both build their tables here, once per
+// configuration.
+func bankTable(cfg cache.Config) (tab [4][cache.NumBanks]uint8, predSelMask uint32) {
+	groups := uint32(cfg.ActiveBanks() / cfg.Ways)
+	for sel := range tab {
+		for w := range tab[sel] {
+			tab[sel][w] = uint8(uint32(sel)&(groups-1) + uint32(min(w, cfg.Ways-1))*groups)
 		}
 	}
+	if cfg.Ways > 1 {
+		predSelMask = groups - 1
+	}
+	return tab, predSelMask
 }
 
 func (k *Kernel) resetPredictor() {

@@ -1,6 +1,8 @@
 package fastsim
 
 import (
+	"math/bits"
+
 	"selftune/internal/cache"
 	"selftune/internal/trace"
 )
@@ -157,24 +159,7 @@ func NewFused() *FusedKernel {
 	for st, c := range fusedStructs {
 		g := &k.geo[st]
 		g.ways = c.Ways
-		for sel := uint32(0); sel < 4; sel++ {
-			tab := &g.cand[sel]
-			switch {
-			case c.SizeBytes == 8192 && c.Ways == 4:
-				tab[0], tab[1], tab[2], tab[3] = 0, 1, 2, 3
-			case c.SizeBytes == 8192 && c.Ways == 2:
-				b := uint8(sel & 1)
-				tab[0], tab[1] = b, 2+b
-			case c.SizeBytes == 8192 && c.Ways == 1:
-				tab[0] = uint8(sel & 3)
-			case c.SizeBytes == 4096 && c.Ways == 2:
-				tab[0], tab[1] = 0, 1
-			case c.SizeBytes == 4096 && c.Ways == 1:
-				tab[0] = uint8(sel & 1)
-			default: // 2048, 1-way
-				tab[0] = 0
-			}
-		}
+		g.cand, _ = bankTable(c)
 	}
 	for i := range k.blocks {
 		k.blocks[i] = invalidBlock
@@ -202,29 +187,16 @@ func (k *FusedKernel) laneOf(cfg cache.Config) (li, pi int, ok bool) {
 			break
 		}
 	}
-	var l int
-	switch cfg.LineBytes {
-	case 16:
-		l = 0
-	case 32:
-		l = 1
-	case 64:
-		l = 2
-	default:
-		return 0, 0, false
-	}
 	if st < 0 || cfg.Validate() != nil {
 		return 0, 0, false
 	}
+	l := bits.TrailingZeros(uint(cfg.SublinesPerLine()))
 	pi = -1
-	if cfg.WayPredict {
+	if cfg.WayPredict { // valid, so one of the ways > 1 structures
 		for p, s := range fusedPredStructs {
 			if s == st {
 				pi = p*3 + l
 			}
-		}
-		if pi < 0 {
-			return 0, 0, false
 		}
 	}
 	return st*3 + l, pi, true

@@ -77,15 +77,7 @@ type Space struct {
 }
 
 // DefaultSpace returns the paper's four-bank configuration space.
-func DefaultSpace() Space {
-	return Space{
-		Sizes:  cache.SizeValues,
-		Assocs: cache.AssocValues,
-		Lines:  cache.LineValues,
-		Valid:  func(c cache.Config) bool { return c.Validate() == nil },
-		Start:  cache.MinConfig(),
-	}
-}
+func DefaultSpace() Space { return GeometrySpace(cache.FourBank()) }
 
 // GeometrySpace returns the configuration space of a scalable geometry.
 func GeometrySpace(geo cache.Geometry) Space {
