@@ -434,7 +434,6 @@ func BenchmarkEnergyEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkEnergy = p.Total(cfg, st)
 	}
-	_ = fmt.Sprint(sinkEnergy)
 }
 
 // BenchmarkScalableSpace runs the §3.4 larger-cache study: the heuristic on
