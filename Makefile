@@ -23,13 +23,13 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$'
 
-# One iteration of the serving path's micro-benchmarks (ingest decoder and
-# settled kernel), of stream production (generate, encode, split), all
-# ns/access, of Equation 1 pricing, and of the §3.4 larger-cache study
-# (heuristic vs exhaustive on an 8-bank geometry), so they keep compiling
-# and running.
+# One iteration of the serving path's micro-benchmarks (ingest decoder,
+# settled kernel and a persistent fleet session's open-submit-close), of
+# stream production (generate, encode, split), all ns/access, of Equation 1
+# pricing, and of the §3.4 larger-cache study (heuristic vs exhaustive on an
+# 8-bank geometry), so they keep compiling and running.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^(BenchmarkStreamDecoderFeed|BenchmarkKernelUnified|BenchmarkGenerate|BenchmarkEncode|BenchmarkSplit|BenchmarkEnergyEvaluate|BenchmarkScalableSpace)$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^(BenchmarkStreamDecoderFeed|BenchmarkKernelUnified|BenchmarkFleetSessionOpen|BenchmarkGenerate|BenchmarkEncode|BenchmarkSplit|BenchmarkEnergyEvaluate|BenchmarkScalableSpace)$$' -benchtime=1x .
 
 # Fast-kernel vs reference throughput on the standard sweep shapes,
 # recorded machine-readably (see cmd/stcbench; BENCH_10.json is committed).

@@ -20,6 +20,7 @@ import (
 	"selftune/internal/energy"
 	"selftune/internal/engine"
 	"selftune/internal/fastsim"
+	"selftune/internal/fleet"
 	"selftune/internal/sim"
 	"selftune/internal/trace"
 	"selftune/internal/tuner"
@@ -641,4 +642,31 @@ func BenchmarkSplit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(streams)*servingAccesses), "ns/access")
+}
+
+// BenchmarkFleetSessionOpen times one short tenant session's fixed cost on a
+// persistent fleet: open a session on a temp-dir fleet, submit one batch,
+// close it (the final checkpoint persist included). Every iteration opens a
+// new session ID, as a fleet serving many short sessions does.
+func BenchmarkFleetSessionOpen(b *testing.B) {
+	accs := servingTrace(b, "crc")[:4096]
+	m, err := fleet.New(fleet.Options{Shards: 1, Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := fmt.Sprintf("s-%d", i)
+		if err := m.Open(id); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Submit(id, accs); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.CloseSession(id); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

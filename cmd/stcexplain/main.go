@@ -32,11 +32,12 @@
 // one. The exit status is non-zero when the log carries no span events.
 //
 // -scrub DIR switches to checkpoint-integrity mode: every retained
-// generation under DIR — a single daemon store, or a fleet tree with a
-// manifest, scrubbed session by session — is read and validated end to end,
-// and corrupt generations are reported with their failure. Adding -scrub-gc
-// deletes the corrupt ones, except when a store has no valid generation
-// left: the wreckage of an all-corrupt store is evidence, never garbage.
+// generation under DIR — a single daemon store, or a fleet tree (one with a
+// sessions/ directory), scrubbed session by session — is read and validated
+// end to end, and corrupt generations are reported with their failure.
+// Adding -scrub-gc deletes the corrupt ones, except when a store has no
+// valid generation left: the wreckage of an all-corrupt store is evidence,
+// never garbage.
 // The exit status is non-zero while any corrupt generation remains on disk.
 package main
 
@@ -133,11 +134,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return nil
 }
 
-// runScrub validates a checkpoint directory — a fleet tree when a manifest
-// is present, a single store otherwise — and reports per generation.
+// runScrub validates a checkpoint directory — a fleet tree when it holds a
+// sessions/ directory, a single store otherwise — and reports per
+// generation.
 func runScrub(stdout io.Writer, dir string, gc bool) error {
 	reps := map[string]*checkpoint.ScrubReport{}
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil {
+	if fi, err := os.Stat(filepath.Join(dir, "sessions")); err == nil && fi.IsDir() {
 		fs, err := checkpoint.OpenFleetStore(dir, 0)
 		if err != nil {
 			return err

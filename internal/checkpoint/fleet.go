@@ -1,47 +1,47 @@
 package checkpoint
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 )
 
 // FleetStore namespaces many sessions' checkpoint generations under one
 // directory tree:
 //
-//	<dir>/manifest.json
+//	<dir>/fleet-state.json
 //	<dir>/sessions/<encoded-session-id>/ckpt-%08d.stck
 //
 // Each session gets its own Store, so the per-session durability contract —
 // atomic tmp+fsync+rename saves, corrupt-head fallback on load — is exactly
-// the single-daemon one; the fleet layer adds only the namespace and a
-// manifest listing every session ever opened (written with the same atomic
-// rename discipline). Session IDs are arbitrary strings; path-hostile ones
-// are hex-encoded, and the manifest records the original IDs.
+// the single-daemon one. The tree is its own index: Sessions lists
+// sessions/ and decodes each directory name back to its ID, so opening a
+// session writes nothing but the directory its Store creates, and a store's
+// first Save makes that directory's entry durable. Session IDs are
+// arbitrary strings: plain ones are stored as "s-<id>", path-hostile ones
+// hex-encoded as "x-<hex>". A manifest.json left by the older layout, which
+// listed every session ever opened, is ignored.
 type FleetStore struct {
 	dir  string
 	keep int
 
-	mu       sync.Mutex
-	sessions map[string]bool // manifest contents
+	mu sync.Mutex // serialises SaveState
 }
-
-// manifest is the on-disk index of the fleet's sessions.
-type manifest struct {
-	Version  int
-	Sessions []string
-}
-
-const manifestVersion = 1
 
 // OpenFleetStore opens (creating if necessary) a fleet checkpoint tree. keep
 // is the per-session generation retention, as in OpenStore. The directory is
-// probed for writability so a misconfigured service fails at startup.
+// probed for writability so a misconfigured service fails at startup. When
+// it creates sessions/, it syncs the root so the new entry is durable before
+// any session's store hangs off it.
 func OpenFleetStore(dir string, keep int) (*FleetStore, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
+	sessions := filepath.Join(dir, "sessions")
+	_, statErr := os.Stat(sessions)
+	if err := os.MkdirAll(sessions, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: open fleet store: %w", err)
 	}
 	probe := filepath.Join(dir, ".writable.probe")
@@ -51,79 +51,66 @@ func OpenFleetStore(dir string, keep int) (*FleetStore, error) {
 	}
 	f.Close()
 	os.Remove(probe)
-
-	fs := &FleetStore{dir: dir, keep: keep, sessions: map[string]bool{}}
-	b, err := os.ReadFile(fs.manifestPath())
-	switch {
-	case err == nil:
-		var m manifest
-		if err := json.Unmarshal(b, &m); err != nil {
-			return nil, fmt.Errorf("checkpoint: fleet manifest: %w", err)
+	if os.IsNotExist(statErr) {
+		if err := syncDir(dir); err != nil {
+			return nil, err
 		}
-		if m.Version != manifestVersion {
-			return nil, fmt.Errorf("checkpoint: fleet manifest version %d, want %d", m.Version, manifestVersion)
-		}
-		for _, id := range m.Sessions {
-			fs.sessions[id] = true
-		}
-	case os.IsNotExist(err):
-		// First boot: the manifest appears with the first session.
-	default:
-		return nil, fmt.Errorf("checkpoint: fleet manifest: %w", err)
 	}
-	return fs, nil
+	return &FleetStore{dir: dir, keep: keep}, nil
 }
 
 // Dir returns the fleet store's root directory.
 func (f *FleetStore) Dir() string { return f.dir }
 
-func (f *FleetStore) manifestPath() string { return filepath.Join(f.dir, "manifest.json") }
+func (f *FleetStore) sessionsDir() string { return filepath.Join(f.dir, "sessions") }
 
 // SessionDir returns the directory that holds one session's generations.
 func (f *FleetStore) SessionDir(id string) string {
-	return filepath.Join(f.dir, "sessions", encodeSessionID(id))
+	return filepath.Join(f.sessionsDir(), encodeSessionID(id))
 }
 
-// Session opens (creating and registering in the manifest if necessary) the
-// per-session store for id. The returned Store is the ordinary single-daemon
-// one; a session resuming after process death loads from it exactly as a
-// local-mode stcd does.
+// Session opens (creating if necessary) the per-session store for id. The
+// returned Store is the ordinary single-daemon one; a session resuming
+// after process death loads from it exactly as a local-mode stcd does.
 func (f *FleetStore) Session(id string) (*Store, error) {
 	if id == "" {
 		return nil, fmt.Errorf("checkpoint: empty session id")
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.sessions[id] {
-		f.sessions[id] = true
-		if err := f.writeManifestLocked(); err != nil {
-			delete(f.sessions, id)
-			return nil, err
-		}
-	}
 	return OpenStore(f.SessionDir(id), f.keep)
 }
 
-// Sessions lists every session the manifest knows, sorted.
-func (f *FleetStore) Sessions() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ids := make([]string, 0, len(f.sessions))
-	for id := range f.sessions {
-		ids = append(ids, id)
+// Sessions lists every session with a directory under sessions/, sorted.
+// Entries whose names do not decode as a session ID are skipped.
+func (f *FleetStore) Sessions() ([]string, error) {
+	ents, err := os.ReadDir(f.sessionsDir())
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: fleet sessions: %w", err)
+	}
+	var ids []string
+	for _, e := range ents {
+		if !e.IsDir() {
+			continue
+		}
+		if id, ok := decodeSessionID(e.Name()); ok {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
-	return ids
+	return ids, nil
 }
 
-// Scrub runs Store.Scrub over every session the manifest knows, keyed by
-// session ID. The per-session never-delete-the-last-valid-state rule applies
-// store by store; one session rotted to nothing does not stop the others
-// from being cleaned.
+// Scrub runs Store.Scrub over every session in the tree, keyed by session
+// ID. The per-session never-delete-the-last-valid-state rule applies store
+// by store; one session rotted to nothing does not stop the others from
+// being cleaned.
 func (f *FleetStore) Scrub(remove bool) (map[string]*ScrubReport, error) {
 	out := map[string]*ScrubReport{}
-	for _, id := range f.Sessions() {
-		s, err := OpenStore(f.SessionDir(id), f.keep)
+	ids, err := f.Sessions()
+	if err != nil {
+		return out, err
+	}
+	for _, id := range ids {
+		s, err := f.Session(id)
 		if err != nil {
 			return out, fmt.Errorf("checkpoint: scrub %q: %w", id, err)
 		}
@@ -172,8 +159,8 @@ const fleetStateVersion = 1
 
 func (f *FleetStore) statePath() string { return filepath.Join(f.dir, "fleet-state.json") }
 
-// SaveState persists the fleet-level state atomically (same tmp+fsync+rename
-// discipline as the manifest and Store.Save).
+// SaveState persists the fleet-level state atomically (the same
+// tmp+fsync+rename discipline as Store.Save).
 func (f *FleetStore) SaveState(st *FleetState) error {
 	cp := *st
 	cp.Version = fleetStateVersion
@@ -209,49 +196,31 @@ func (f *FleetStore) LoadState() (*FleetState, error) {
 	return &st, nil
 }
 
-// writeManifestLocked persists the manifest atomically (tmp, fsync, rename,
-// directory fsync — the same discipline as Store.Save). Caller holds f.mu.
-func (f *FleetStore) writeManifestLocked() error {
-	ids := make([]string, 0, len(f.sessions))
-	for id := range f.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	b, err := json.MarshalIndent(manifest{Version: manifestVersion, Sessions: ids}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("checkpoint: fleet manifest: %w", err)
-	}
-	if err := f.writeAtomicLocked(f.manifestPath(), b); err != nil {
-		return fmt.Errorf("checkpoint: fleet manifest: %w", err)
-	}
-	return nil
-}
-
 // writeAtomicLocked writes bytes to final via tmp+fsync+rename+dir-fsync.
 // Caller holds f.mu.
 func (f *FleetStore) writeAtomicLocked(final string, b []byte) error {
 	tmp := final + ".tmp"
 	fh, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("checkpoint: fleet manifest: %w", err)
+		return err
 	}
 	if _, err := fh.Write(b); err != nil {
 		fh.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: fleet manifest: %w", err)
+		return err
 	}
 	if err := fh.Sync(); err != nil {
 		fh.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: fleet manifest: fsync: %w", err)
+		return fmt.Errorf("fsync: %w", err)
 	}
 	if err := fh.Close(); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: fleet manifest: %w", err)
+		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: fleet manifest: %w", err)
+		return err
 	}
 	return syncDir(f.dir)
 }
@@ -273,5 +242,23 @@ func encodeSessionID(id string) string {
 	if plain {
 		return "s-" + id
 	}
-	return "x-" + fmt.Sprintf("%x", id)
+	return "x-" + hex.EncodeToString([]byte(id))
+}
+
+// decodeSessionID inverts encodeSessionID; ok is false for any name the
+// encoder would not have produced.
+func decodeSessionID(name string) (id string, ok bool) {
+	switch {
+	case strings.HasPrefix(name, "s-"):
+		id = name[2:]
+	case strings.HasPrefix(name, "x-"):
+		b, err := hex.DecodeString(name[2:])
+		if err != nil {
+			return "", false
+		}
+		id = string(b)
+	default:
+		return "", false
+	}
+	return id, id != "" && encodeSessionID(id) == name
 }

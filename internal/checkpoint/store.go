@@ -15,6 +15,10 @@ import (
 type Store struct {
 	dir  string
 	keep int
+
+	// linked records that this Store has synced the directory holding
+	// dir, which OpenStore may have just created without a sync.
+	linked bool
 }
 
 const (
@@ -78,7 +82,10 @@ func (s *Store) Path(gen uint64) string {
 
 // Save persists st as the next generation, atomically: the bytes land in a
 // tmp file which is fsynced, renamed over the final name, and the directory
-// is fsynced so the rename itself is durable. Older generations beyond keep
+// is fsynced so the rename itself is durable. The first Save through a
+// Store also fsyncs the directory that holds the store: opening a store
+// syncs nothing, so this is what makes a freshly created store directory
+// durable before any generation counts on it. Older generations beyond keep
 // are pruned afterwards; a crash between rename and prune only leaves extra
 // history. Returns the generation written.
 func (s *Store) Save(st *State) (uint64, error) {
@@ -120,6 +127,12 @@ func (s *Store) Save(st *State) (uint64, error) {
 	}
 	if err := syncDir(s.dir); err != nil {
 		return 0, err
+	}
+	if !s.linked {
+		if err := syncDir(filepath.Dir(s.dir)); err != nil {
+			return 0, err
+		}
+		s.linked = true
 	}
 	// Prune beyond keep. Best-effort: a failed remove is not a failed save.
 	if n := len(gens) + 1 - s.keep; n > 0 {

@@ -57,6 +57,33 @@ func TestReplayBatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestImageAllocatesOnce pins the boundary snapshot's allocations: the
+// predictor copy plus one presized frame slice for a warm kernel, and the
+// predictor copy alone for an empty one, whose Frames stay nil as
+// cache.Configurable's do.
+func TestImageAllocatesOnce(t *testing.T) {
+	for _, cfg := range cache.AllConfigs() {
+		k := fastsim.Must(cfg)
+		img, err := k.Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img.Frames != nil {
+			t.Fatalf("%v: empty kernel's image has non-nil Frames", cfg)
+		}
+		if n := testing.AllocsPerRun(10, func() { k.Image() }); n != 1 {
+			t.Errorf("%v: empty Image allocates %.0f times, want 1", cfg, n)
+		}
+		k.ReplayBatch(benchTrace(4096))
+		if img, _ = k.Image(); len(img.Frames) == 0 || len(img.Frames) != cap(img.Frames) {
+			t.Fatalf("%v: warm image holds %d frames in a %d-frame slice", cfg, len(img.Frames), cap(img.Frames))
+		}
+		if n := testing.AllocsPerRun(10, func() { k.Image() }); n != 2 {
+			t.Errorf("%v: warm Image allocates %.0f times, want 2", cfg, n)
+		}
+	}
+}
+
 // BenchmarkFourBankFast / BenchmarkFourBankReference measure ns/access on
 // the base configuration; run with -bench to compare kernels directly.
 func BenchmarkFourBankFast(b *testing.B) {

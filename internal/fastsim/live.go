@@ -78,6 +78,17 @@ func (k *Kernel) Image() (cache.Image, error) {
 		Stats: k.stats,
 		Pred:  append([]uint8(nil), k.pred[:]...),
 	}
+	// Count first and allocate once; an empty cache keeps Frames nil, as
+	// cache.Configurable.Image does.
+	n := 0
+	for i := range k.frames {
+		if k.frames[i].valid {
+			n++
+		}
+	}
+	if n > 0 {
+		img.Frames = make([]cache.FrameImage, 0, n)
+	}
 	for i := range k.frames {
 		f := &k.frames[i]
 		if f.valid {

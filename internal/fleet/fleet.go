@@ -56,7 +56,7 @@ type Options struct {
 	// replaced by the fleet recorder stamped with the session ID.
 	Session daemon.Options
 	// Dir is the fleet checkpoint root ("" disables persistence): one
-	// manifest plus one store per session, see checkpoint.FleetStore.
+	// store per session under sessions/, see checkpoint.FleetStore.
 	Dir string
 	// Keep is checkpoint generations retained per session. Default 4.
 	Keep int
@@ -251,6 +251,10 @@ type item struct {
 	epoch uint64 // session epoch at enqueue; stale data items are discarded
 	close bool
 	done  chan error // close items only
+	// pool, when non-nil, takes batch (accs before the resume skip
+	// trimmed it) back once the worker is done with it.
+	pool  *batchPool
+	batch []trace.Access
 	// enq is the wall-clock enqueue instant, feeding only the queue-wait
 	// histogram — never an event or a decision (the determinism contract).
 	enq time.Time
@@ -412,9 +416,8 @@ func (m *Manager) OpenTraced(id, trce string) error {
 		sopts.Rec = stamp()
 	}
 	if m.store != nil {
-		if _, err := m.store.Session(id); err != nil { // registers in the manifest
-			return err
-		}
+		// daemon.New opens (creating) the store; the tree needs no other
+		// record of the session.
 		sopts.Dir = m.store.SessionDir(id)
 	}
 
@@ -530,19 +533,34 @@ func (m *Manager) lookup(id string) (*session, error) {
 // Failed is terminal and every submission reports it. Per session,
 // submitters must be serialised — concurrent Submits to one session have no
 // defined order.
+//
+// Submit does not copy accs: the fleet keeps the slice until the session's
+// shard worker has stepped it, and the caller must not modify it after the
+// call returns.
 func (m *Manager) Submit(id string, accs []trace.Access) error {
+	_, err := m.submit(id, accs, nil)
+	return err
+}
+
+// submit is Submit reporting whether the fleet kept accs: queued it on the
+// shard, where the worker reads it later. A kept batch from a non-nil pool
+// goes back to that pool once the worker has stepped it; a batch the fleet
+// did not keep (skipped, shed, buffered while parked, refused) is the
+// caller's again as soon as submit returns.
+func (m *Manager) submit(id string, accs []trace.Access, pool *batchPool) (kept bool, err error) {
 	s, err := m.lookup(id)
 	if err != nil {
-		return err
+		return false, err
 	}
+	batch := accs
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return fmt.Errorf("fleet: session %q is closed", id)
+		return false, fmt.Errorf("fleet: session %q is closed", id)
 	}
 	if s.health != Active {
-		return m.submitUnhealthy(s)
+		return false, m.submitUnhealthy(s)
 	}
 	if s.skip > 0 {
 		n := uint64(len(accs))
@@ -554,7 +572,7 @@ func (m *Manager) Submit(id string, accs []trace.Access) error {
 	}
 	if len(accs) == 0 {
 		s.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	if m.opts.Shed && s.inFlight+len(accs) > m.opts.QueueDepth {
 		s.shed += uint64(len(accs))
@@ -567,19 +585,19 @@ func (m *Manager) Submit(id string, accs []trace.Access) error {
 			slog.String("sid", id),
 			slog.Int("dropped", len(accs)),
 			slog.Uint64("total", shed))
-		return nil
+		return false, nil
 	}
 	for !m.opts.Shed && s.inFlight > 0 && s.inFlight+len(accs) > m.opts.QueueDepth {
 		s.cond.Wait()
 		if s.closed {
 			s.mu.Unlock()
-			return fmt.Errorf("fleet: session %q is closed", id)
+			return false, fmt.Errorf("fleet: session %q is closed", id)
 		}
 	}
 	if s.health != Active {
 		// The worker quarantined the session while this submitter waited
 		// out backpressure; the batch joins the discard-and-tick flow.
-		return m.submitUnhealthy(s)
+		return false, m.submitUnhealthy(s)
 	}
 	s.inFlight += len(accs)
 	depth := s.inFlight
@@ -594,18 +612,18 @@ func (m *Manager) Submit(id string, accs []trace.Access) error {
 		if reg := m.opts.Reg; reg != nil {
 			reg.GaugeWith("fleet_session_queue", "session", id).Set(float64(depth))
 		}
-		return nil
+		return false, nil
 	}
 	// Enqueue under s.mu: a concurrent CloseSession also enqueues under
 	// s.mu, so its close item can never be overtaken by a data batch that
 	// passed the closed check earlier. (Lock order s.mu → shard.mu is safe:
 	// the worker never holds both.)
-	s.shard.enqueue(item{s: s, accs: accs, epoch: s.epoch})
+	s.shard.enqueue(item{s: s, accs: accs, epoch: s.epoch, pool: pool, batch: batch})
 	s.mu.Unlock()
 	if reg := m.opts.Reg; reg != nil {
 		reg.GaugeWith("fleet_session_queue", "session", id).Set(float64(depth))
 	}
-	return nil
+	return true, nil
 }
 
 // healthErr builds the typed error for a session out of Active, nil
@@ -1196,6 +1214,9 @@ func (m *Manager) process(it item) {
 			slog.String("unit", "accesses"),
 			slog.Bool("ok", failure == nil))
 	}
+	// Recycle before waking the submitter, so the buffer it reaches for
+	// next is already back in the pool.
+	it.pool.put(it.batch)
 	s.mu.Lock()
 	s.inFlight -= len(it.accs)
 	s.cond.Broadcast()

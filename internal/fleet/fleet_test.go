@@ -85,8 +85,8 @@ func TestFleetRunsSessionsToSettle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.Sessions(); len(got) != 3 {
-		t.Fatalf("manifest lists %v, want 3 sessions", got)
+	if got, err := fs.Sessions(); err != nil || len(got) != 3 {
+		t.Fatalf("tree lists %v (%v), want 3 sessions", got, err)
 	}
 	for _, n := range names {
 		st, err := fs.Session("wl-" + n)

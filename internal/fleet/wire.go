@@ -335,7 +335,7 @@ func ReadResponseStream(r io.Reader) (*Responses, error) {
 		}
 		switch kind {
 		case frameError:
-			payload, err := readBytes(br, maxPayload)
+			payload, err := readBytes(br, maxPayload, nil)
 			if err != nil {
 				return out, fmt.Errorf("fleet: bad response frame: %w", err)
 			}
@@ -444,7 +444,9 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 		}
 	}
 
+	var payload []byte
 	var accs []trace.Access
+	pool := &batchPool{}
 	for {
 		kind, err := br.ReadByte()
 		if err == io.EOF {
@@ -476,7 +478,7 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 		}
 		switch kind {
 		case frameOpen:
-			tb, err := readBytes(br, maxSIDLen)
+			tb, err := readBytes(br, maxSIDLen, nil)
 			if err != nil {
 				return fmt.Errorf("fleet: bad open frame: %w", err)
 			}
@@ -498,7 +500,9 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 			owned[sid] = &ingestSession{dec: &trace.StreamDecoder{}}
 		case frameData:
 			t0 := time.Now()
-			payload, err := readBytes(br, maxPayload)
+			// The decoder copies nothing it needs past Feed, so every
+			// payload lands in the same buffer.
+			payload, err = readBytes(br, maxPayload, payload)
 			if err != nil {
 				return fmt.Errorf("fleet: bad data frame: %w", err)
 			}
@@ -518,7 +522,7 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 				continue
 			}
 			if len(accs) > 0 {
-				if err := m.Submit(sid, append([]trace.Access(nil), accs...)); err != nil {
+				if accs, err = m.submitDecoded(sid, accs, pool); err != nil {
 					failSession(sid, is, err)
 				}
 			}
@@ -555,6 +559,52 @@ func (m *Manager) ingestFrames(br *byteReader, resp *responder) error {
 			return fmt.Errorf("fleet: unknown frame type 0x%02x", kind)
 		}
 	}
+}
+
+// submitDecoded hands a decoded batch to the session without copying it and
+// returns the buffer the next frame decodes into: a recycled one from pool
+// when the shard took accs over, accs itself when the fleet did not keep it.
+func (m *Manager) submitDecoded(sid string, accs []trace.Access, pool *batchPool) ([]trace.Access, error) {
+	kept, err := m.submit(sid, accs, pool)
+	if kept {
+		return pool.get(), err
+	}
+	return accs, err
+}
+
+// batchPool recycles one connection's decoded-batch buffers: the frame loop
+// decodes into a buffer from the pool and hands it to the shard, whose
+// worker puts it back once it has stepped it, so a connection that is
+// running allocates no batch buffers. The frame loop and the shard workers
+// are different goroutines, hence the lock.
+type batchPool struct {
+	mu   sync.Mutex
+	free [][]trace.Access
+}
+
+// get returns a free buffer, or nil (which the decoder grows) when every
+// buffer is still queued.
+func (p *batchPool) get() []trace.Access {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	b := p.free[n-1]
+	p.free = p.free[:n-1]
+	return b
+}
+
+// put returns a buffer the worker is done with; a nil pool (a batch from a
+// caller that owns its buffer) recycles nothing.
+func (p *batchPool) put(b []trace.Access) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, b[:0])
+	p.mu.Unlock()
 }
 
 // settled reports whether a connection owns no live session: every open it
@@ -603,7 +653,7 @@ func (b *byteReader) ReadByte() (byte, error) {
 
 // readString reads a uvarint-prefixed string bounded by max.
 func readString(br *byteReader, max int) (string, error) {
-	b, err := readBytes(br, max)
+	b, err := readBytes(br, max, nil)
 	if err != nil {
 		return "", err
 	}
@@ -613,8 +663,9 @@ func readString(br *byteReader, max int) (string, error) {
 	return string(b), nil
 }
 
-// readBytes reads a uvarint-prefixed byte string bounded by max.
-func readBytes(br *byteReader, max int) ([]byte, error) {
+// readBytes reads a uvarint-prefixed byte string bounded by max, into buf
+// when it has room.
+func readBytes(br *byteReader, max int, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
@@ -622,7 +673,10 @@ func readBytes(br *byteReader, max int) ([]byte, error) {
 	if n > uint64(max) {
 		return nil, fmt.Errorf("length %d exceeds the %d limit", n, max)
 	}
-	buf := make([]byte, n)
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
