@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race race-stress vet bench bench-json bench-smoke check fuzz obs-smoke fleet-smoke chaos-smoke perfbench-smoke loc
+.PHONY: build test race race-stress vet bench bench-json bench-smoke check fuzz obs-smoke fleet-smoke chaos-smoke perfbench-smoke loc examples
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzChaosnetFraming -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzSearchMachine -fuzztime=$(FUZZTIME) ./internal/tuner/
+
+# Run every program under examples/; the first non-zero exit fails the target.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # Non-test Go lines outside perfbench/ (and the benchmark's build cache):
 # the code-size figure ROADMAP item 3 tracks from change to change.

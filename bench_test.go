@@ -40,7 +40,7 @@ type benchStream struct {
 func benchStreams() []benchStream {
 	var out []benchStream
 	for _, prof := range workload.Profiles() {
-		inst, data := trace.Split(trace.NewSliceSource(prof.Generate(benchAccesses)))
+		inst, data := trace.Split(prof.Generate(benchAccesses))
 		out = append(out,
 			benchStream{prof.Name, "I", inst, prof.Paper.ICfg},
 			benchStream{prof.Name, "D", data, prof.Paper.DCfg})
@@ -55,7 +55,7 @@ func benchStreams() []benchStream {
 // reported as the knee position.
 func BenchmarkFigure2EnergyVsCacheSize(b *testing.B) {
 	p := energy.DefaultParams()
-	_, data := trace.Split(trace.NewSliceSource(workload.ParserLike().Generate(benchAccesses)))
+	data := trace.OnlyData(workload.ParserLike().Generate(benchAccesses))
 	sizes := []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10,
 		64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 
@@ -256,7 +256,7 @@ func BenchmarkAlternativeOrdering(b *testing.B) {
 func BenchmarkTunerHardware(b *testing.B) {
 	p := energy.DefaultParams()
 	prof, _ := workload.ByName("g721")
-	inst, _ := trace.Split(trace.NewSliceSource(prof.Generate(benchAccesses)))
+	inst := trace.OnlyInst(prof.Generate(benchAccesses))
 	ev := tuner.NewTraceEvaluator(inst, p)
 	measure := func(cfg cache.Config) tuner.Measurement {
 		return tuner.MeasurementFromStats(cfg, ev.Evaluate(cfg).Stats, p)
@@ -266,7 +266,9 @@ func BenchmarkTunerHardware(b *testing.B) {
 	var f *tuner.FSMD
 	for i := 0; i < b.N; i++ {
 		f = tuner.NewFSMD(p)
-		f.Run(measure)
+		if _, err := f.Run(measure); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 
@@ -289,7 +291,7 @@ func BenchmarkFlushAblation(b *testing.B) {
 	var datas [][]trace.Access
 	for _, name := range []string{"blit", "brev", "ucbqsort", "mpeg2"} {
 		prof, _ := workload.ByName(name)
-		_, d := trace.Split(trace.NewSliceSource(prof.Generate(benchAccesses)))
+		d := trace.OnlyData(prof.Generate(benchAccesses))
 		datas = append(datas, d)
 	}
 
@@ -376,7 +378,7 @@ func BenchmarkWayPredictionAccuracy(b *testing.B) {
 func BenchmarkOnlineTuningSession(b *testing.B) {
 	p := energy.DefaultParams()
 	prof, _ := workload.ByName("adpcm")
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(600_000)))
+	data := trace.OnlyData(prof.Generate(600_000))
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -478,7 +480,7 @@ func BenchmarkScalableSpace(b *testing.B) {
 func BenchmarkSweepSerialVsParallel(b *testing.B) {
 	p := energy.DefaultParams()
 	prof, _ := workload.ByName("mpeg2")
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(benchAccesses)))
+	data := trace.OnlyData(prof.Generate(benchAccesses))
 	configs := cache.AllConfigs()
 
 	serial := tuner.ExhaustiveWorkers(tuner.NewTraceEvaluator(data, p), configs, 1)
@@ -638,7 +640,7 @@ func BenchmarkSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, accs := range streams {
-			trace.Split(trace.NewSliceSource(accs))
+			trace.Split(accs)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(streams)*servingAccesses), "ns/access")

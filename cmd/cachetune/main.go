@@ -57,7 +57,7 @@ func run() error {
 		return nil
 	}
 
-	src, limit, err := pickSource(ofl, *wl, *kernel, *traceFile, *n, *lenient)
+	accs, err := pickSource(ofl, *wl, *kernel, *traceFile, *n, *lenient)
 	if err != nil {
 		return err
 	}
@@ -80,15 +80,18 @@ func run() error {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-		src = &deadlineSource{src: src, ctx: ctx}
-	}
-	if *compare {
-		src = &recordingSource{src: src}
 	}
 	sys := core.New(opts)
-	ran := sys.Run(src, limit)
-	if ds := findDeadline(src); ds != nil && ds.tripped {
-		return fmt.Errorf("timed out after %v (%d accesses replayed)", *timeout, ran)
+	// The deadline is checked between blocks of 4096 accesses, which keeps
+	// the check off the per-access path.
+	ran := 0
+	for ran < len(accs) {
+		if ran > 0 && ctx.Err() != nil {
+			return fmt.Errorf("timed out after %v (%d accesses replayed)", *timeout, ran)
+		}
+		next := min(ran+4096, len(accs))
+		sys.Run(accs[ran:next])
+		ran = next
 	}
 	fmt.Printf("ran %d accesses, mode=%s\n", ran, *mode)
 
@@ -113,68 +116,17 @@ func run() error {
 	fmt.Printf("tuner energy: %.2f nJ (%.6f%% of memory-access energy)\n",
 		r.TunerEnergy*1e9, 100*r.TunerEnergy/(r.IBreak.Total()+r.DBreak.Total()))
 
-	if rec, ok := src.(*recordingSource); ok {
-		compareOffline(rec.accs, sys, p, *workers)
+	if *compare {
+		compareOffline(accs, sys, p, *workers)
 	}
 	return nil
-}
-
-// recordingSource passes a stream through while keeping a copy, so the run
-// can be replayed offline afterwards.
-type recordingSource struct {
-	src  trace.Source
-	accs []trace.Access
-}
-
-func (r *recordingSource) Next() (trace.Access, bool) {
-	a, ok := r.src.Next()
-	if ok {
-		r.accs = append(r.accs, a)
-	}
-	return a, ok
-}
-
-// deadlineSource ends the stream when the context expires, checking every
-// 4096 accesses so the replay loop stays cheap. The tuner then sees a
-// normal end of stream — no goroutine teardown, no partial state.
-type deadlineSource struct {
-	src     trace.Source
-	ctx     context.Context
-	n       int
-	tripped bool
-}
-
-func (d *deadlineSource) Next() (trace.Access, bool) {
-	if d.tripped {
-		return trace.Access{}, false
-	}
-	d.n++
-	if d.n&0xfff == 0 && d.ctx.Err() != nil {
-		d.tripped = true
-		return trace.Access{}, false
-	}
-	return d.src.Next()
-}
-
-// findDeadline unwraps the source chain back to the deadline wrapper.
-func findDeadline(src trace.Source) *deadlineSource {
-	for {
-		switch s := src.(type) {
-		case *deadlineSource:
-			return s
-		case *recordingSource:
-			src = s.src
-		default:
-			return nil
-		}
-	}
 }
 
 // compareOffline sweeps all 27 configurations over the recorded instruction
 // and data streams through the replay engine's worker pool and reports how
 // far the online tuner's choices sit from the exhaustive optimum.
 func compareOffline(accs []trace.Access, sys *core.System, p *energy.Params, workers int) {
-	inst, data := trace.Split(trace.NewSliceSource(accs))
+	inst, data := trace.Split(accs)
 	fmt.Printf("\noffline exhaustive sweep of the recorded trace (%d configs, %d workers):\n",
 		len(cache.AllConfigs()), workers)
 	for _, s := range []struct {
@@ -198,7 +150,9 @@ func compareOffline(accs []trace.Access, sys *core.System, p *energy.Params, wor
 	}
 }
 
-func pickSource(ofl *obs.Flags, wl, kernel, traceFile string, n int, lenient bool) (trace.Source, int, error) {
+// pickSource records the stream the run replays: the first n accesses of a
+// workload, a kernel's whole run, or a trace file.
+func pickSource(ofl *obs.Flags, wl, kernel, traceFile string, n int, lenient bool) ([]trace.Access, error) {
 	picked := 0
 	for _, s := range []string{wl, kernel, traceFile} {
 		if s != "" {
@@ -206,42 +160,42 @@ func pickSource(ofl *obs.Flags, wl, kernel, traceFile string, n int, lenient boo
 		}
 	}
 	if picked != 1 {
-		return nil, 0, fmt.Errorf("pick exactly one of -workload, -kernel or -trace (see -list)")
+		return nil, fmt.Errorf("pick exactly one of -workload, -kernel or -trace (see -list)")
 	}
 	switch {
 	case wl != "":
 		p, ok := workload.ByName(wl)
 		if !ok {
-			return nil, 0, fmt.Errorf("unknown workload %q", wl)
+			return nil, fmt.Errorf("unknown workload %q", wl)
 		}
-		return p.NewSource(), n, nil
+		return p.Generate(n), nil
 	case kernel != "":
 		k, ok := programs.ByName(kernel)
 		if !ok {
-			return nil, 0, fmt.Errorf("unknown kernel %q", kernel)
+			return nil, fmt.Errorf("unknown kernel %q", kernel)
 		}
 		accs, err := k.Trace()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return trace.NewSliceSource(accs), 0, nil
+		return accs, nil
 	default:
 		// Native binary or Dinero din; -lenient skips malformed din
 		// lines (recorded over unreliable links) instead of failing.
 		if lenient {
 			accs, skipped, err := trace.OpenLenient(traceFile)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			if skipped > 0 {
 				ofl.Notef(os.Stderr, "cachetune: skipped %d malformed trace lines", skipped)
 			}
-			return trace.NewSliceSource(accs), 0, nil
+			return accs, nil
 		}
 		accs, err := trace.Open(traceFile)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return trace.NewSliceSource(accs), 0, nil
+		return accs, nil
 	}
 }

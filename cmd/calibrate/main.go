@@ -28,7 +28,7 @@ func main() {
 
 	for _, prof := range workload.Profiles() {
 		accs := prof.Generate(150_000)
-		inst, data := trace.Split(trace.NewSliceSource(accs))
+		inst, data := trace.Split(accs)
 		for i, stream := range [][]trace.Access{inst, data} {
 			kind := "I"
 			want := prof.Paper.ICfg

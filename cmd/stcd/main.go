@@ -243,7 +243,7 @@ func local(ctx context.Context, tel *telemetry, opts daemon.Options, accs []trac
 	}
 	defer stopObs()
 
-	err = d.Run(ctx, trace.NewSliceSource(accs))
+	err = d.Run(ctx, accs)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		return err
@@ -463,10 +463,10 @@ func pickStream(wl, kernel, traceFile, stream string, n int) ([]trace.Access, er
 	}
 	switch stream {
 	case "inst":
-		inst, _ := trace.Split(trace.NewSliceSource(accs))
+		inst := trace.OnlyInst(accs)
 		accs = inst
 	case "data":
-		_, data := trace.Split(trace.NewSliceSource(accs))
+		data := trace.OnlyData(accs)
 		accs = data
 	case "all":
 	default:

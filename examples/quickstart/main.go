@@ -21,7 +21,7 @@ func main() {
 	// 16 B lines; the tuner measures each candidate configuration over
 	// a 10k-access window and walks the paper's heuristic.
 	sys := core.New(core.Options{Mode: core.TuneOnce})
-	sys.Run(prof.NewSource(), 800_000)
+	sys.Run(prof.Generate(800_000))
 
 	fmt.Printf("workload: %s — %s\n\n", prof.Name, prof.Description)
 	for _, e := range sys.Events() {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"selftune/internal/core"
-	"selftune/internal/trace"
 	"selftune/internal/workload"
 )
 
@@ -26,7 +25,7 @@ func main() {
 			Period:         150_000,
 			PhaseThreshold: 0.01,
 		})
-		sys.Run(trace.NewSliceSource(accs), 0)
+		sys.Run(accs)
 
 		fmt.Printf("mode=%-8s sessions=%d  final I$=%v D$=%v\n",
 			mode, len(sys.Events()), sys.IConfig(), sys.DConfig())

@@ -26,7 +26,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", k.Name, err)
 		}
-		inst, data := trace.Split(trace.NewSliceSource(accs))
+		inst, data := trace.Split(accs)
 
 		iev := tuner.NewTraceEvaluator(inst, p)
 		dev := tuner.NewTraceEvaluator(data, p)

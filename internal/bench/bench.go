@@ -171,7 +171,7 @@ func Run(opts Options) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown workload profile %q", name)
 		}
-		_, data := trace.Split(trace.NewSliceSource(prof.Generate(opts.N)))
+		data := trace.OnlyData(prof.Generate(opts.N))
 		cr, err := measureFourBank(name, data, p, opts)
 		if err != nil {
 			return nil, err
@@ -179,7 +179,7 @@ func Run(opts Options) (*Report, error) {
 		rep.Classes = append(rep.Classes, cr)
 	}
 
-	_, parserData := trace.Split(trace.NewSliceSource(workload.ParserLike().Generate(opts.N)))
+	parserData := trace.OnlyData(workload.ParserLike().Generate(opts.N))
 	cr, err := measureFigure2("parser-like", parserData, p, opts)
 	if err != nil {
 		return nil, err
@@ -188,7 +188,7 @@ func Run(opts Options) (*Report, error) {
 
 	scaleProfile := opts.Profiles[0]
 	prof, _ := workload.ByName(scaleProfile)
-	_, scaleData := trace.Split(trace.NewSliceSource(prof.Generate(opts.N)))
+	scaleData := trace.OnlyData(prof.Generate(opts.N))
 	for _, workers := range opts.ScaleWorkers {
 		sr, err := measureScaling(scaleProfile, scaleData, p, opts, workers)
 		if err != nil {

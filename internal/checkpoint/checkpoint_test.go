@@ -21,7 +21,7 @@ func liveState(t *testing.T, windows uint64) *State {
 	if !ok {
 		t.Fatal("no crc profile")
 	}
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(600_000)))
+	data := trace.OnlyData(prof.Generate(600_000))
 	o := tuner.NewOnline(cache.MustConfigurable(cache.MinConfig()), energy.DefaultParams(), tuner.OnlineOptions{Window: 4000})
 	consumed := uint64(0)
 	for _, a := range data {

@@ -263,19 +263,10 @@ func (c *side) observe(s *System, r cache.AccessResult) {
 	}
 }
 
-// Run replays up to max accesses from src (max <= 0 means all).
-func (s *System) Run(src trace.Source, max int) int {
-	n := 0
-	for {
-		if max > 0 && n >= max {
-			return n
-		}
-		a, ok := src.Next()
-		if !ok {
-			return n
-		}
+// Run replays a stream.
+func (s *System) Run(accs []trace.Access) {
+	for _, a := range accs {
 		s.Access(a)
-		n++
 	}
 }
 

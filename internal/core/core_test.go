@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"selftune/internal/cache"
-	"selftune/internal/trace"
 	"selftune/internal/workload"
 )
 
@@ -15,7 +14,7 @@ func run(t *testing.T, name string, opts Options, max int) *System {
 		t.Fatalf("no profile %q", name)
 	}
 	s := New(opts)
-	s.Run(prof.NewSource(), max)
+	s.Run(prof.Generate(max))
 	return s
 }
 
@@ -66,7 +65,7 @@ func TestPhaseChangeRetunes(t *testing.T) {
 	accs := append(a.Generate(400_000), b.Generate(400_000)...)
 
 	s := New(Options{Window: 4000, Mode: TuneOnPhaseChange, PhaseThreshold: 0.01})
-	s.Run(trace.NewSliceSource(accs), 0)
+	s.Run(accs)
 	evs := s.Events()
 	if len(evs) < 3 {
 		t.Fatalf("phase mode produced %d sessions; expected a re-tune after the workload switch", len(evs))
@@ -99,7 +98,7 @@ func TestStablePhaseDoesNotRetune(t *testing.T) {
 	s := New(Options{Window: 4000, Mode: TuneOnPhaseChange, PhaseThreshold: 0.05})
 	// Skip the init phase so the monitored stream is stationary.
 	accs := prof.Generate(1_000_000)[45_000:]
-	s.Run(trace.NewSliceSource(accs), 0)
+	s.Run(accs)
 	if got := len(s.Events()); got != 2 {
 		t.Errorf("stationary workload re-tuned: %d sessions", got)
 	}
@@ -149,9 +148,9 @@ func TestDefaultsFilled(t *testing.T) {
 func TestVictimBufferOption(t *testing.T) {
 	prof, _ := workload.ByName("tv") // conflict-heavy data strips
 	plain := New(Options{Window: 5000})
-	plain.Run(prof.NewSource(), 500_000)
+	plain.Run(prof.Generate(500_000))
 	vb := New(Options{Window: 5000, VictimEntries: 8})
-	vb.Run(prof.NewSource(), 500_000)
+	vb.Run(prof.Generate(500_000))
 
 	rp, rv := plain.Report(), vb.Report()
 	if rv.DStats.VictimProbes == 0 {

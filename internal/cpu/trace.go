@@ -22,12 +22,3 @@ func TraceProgram(prog *asm.Program, maxInst uint64) ([]trace.Access, *Machine, 
 	}
 	return accs, m, nil
 }
-
-// TraceSource runs a program and exposes the stream as a trace.Source.
-func TraceSource(prog *asm.Program, maxInst uint64) (trace.Source, error) {
-	accs, _, err := TraceProgram(prog, maxInst)
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewSliceSource(accs), nil
-}

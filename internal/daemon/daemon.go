@@ -237,42 +237,37 @@ func (d *Daemon) persist(st *checkpoint.State) error {
 	return nil
 }
 
-// Run streams src into the daemon until the stream ends or ctx is
-// cancelled. src must yield the trace from its beginning: Run discards the
+// runBlock is how many accesses Run steps between cancellation checks.
+const runBlock = 4096
+
+// Run streams accs into the daemon until the stream ends or ctx is
+// cancelled. accs must be the trace from its beginning: Run skips the
 // prefix a previous life already consumed, which is what makes a restarted
 // daemon continue rather than start over. On cancellation the daemon drains
 // the in-flight measurement window to its boundary first (at most ~1.25
 // windows of accesses), so the final persisted checkpoint covers every
 // consumed access, then returns ctx.Err(). stcd's local mode drives it.
-func (d *Daemon) Run(ctx context.Context, src trace.Source) error {
-	for skip := d.sess.Consumed(); skip > 0; skip-- {
-		if _, ok := src.Next(); !ok {
-			return fmt.Errorf("daemon: stream ends at %d accesses but the checkpoint consumed %d", d.sess.Consumed()-skip, d.sess.Consumed())
-		}
+func (d *Daemon) Run(ctx context.Context, accs []trace.Access) error {
+	if consumed := d.sess.Consumed(); uint64(len(accs)) < consumed {
+		return fmt.Errorf("daemon: stream ends at %d accesses but the checkpoint consumed %d", len(accs), consumed)
 	}
+	accs = accs[d.sess.Consumed():]
 	// Accesses are stepped a block at a time; cancellation is checked
-	// between blocks, every 4096 accesses.
-	var buf [4096]trace.Access
+	// between blocks.
 	for {
 		if ctx.Err() != nil {
-			return d.drain(ctx, src)
+			return d.drain(ctx, accs)
 		}
-		n := 0
-		for ; n < len(buf); n++ {
-			a, ok := src.Next()
-			if !ok {
-				break
-			}
-			buf[n] = a
-		}
-		for accs := buf[:n]; len(accs) > 0; {
-			m, _, err := d.StepBatch(accs)
+		n := min(len(accs), runBlock)
+		for block := accs[:n]; len(block) > 0; {
+			m, _, err := d.StepBatch(block)
 			if err != nil {
 				return err
 			}
-			accs = accs[m:]
+			block = block[m:]
 		}
-		if n < len(buf) {
+		accs = accs[n:]
+		if n < runBlock {
 			return d.Close()
 		}
 	}
@@ -281,26 +276,21 @@ func (d *Daemon) Run(ctx context.Context, src trace.Source) error {
 // drain finishes the in-flight measurement window after a cancellation:
 // shutting down mid-window would persist the last boundary and replay the
 // partial window on restart — correct, but wasteful — so the daemon keeps
-// consuming until the next boundary (or the stream's end) and only then
-// takes the final snapshot.
-func (d *Daemon) drain(ctx context.Context, src trace.Source) error {
+// consuming the rest of accs until the next boundary (or the stream's end)
+// and only then takes the final snapshot. StepBatch stops at every
+// boundary, so the drain never steps past the one it waits for.
+func (d *Daemon) drain(ctx context.Context, accs []trace.Access) error {
 	// The drain span's coordinates depend on where cancellation landed in
 	// the stream — a lifecycle pair (like daemon.persist), not a decision.
 	sp := d.sess.span("daemon.drain", d.opts.Hists.drain())
-	// A source cannot take an access back, so the drain pulls and steps one
-	// access per StepBatch call; at most ~1.25 windows remain.
 	var drained uint64
-	var one [1]trace.Access
-	for !d.sess.AtBoundary() {
-		a, ok := src.Next()
-		if !ok {
-			break
-		}
-		one[0] = a
-		if _, _, err := d.StepBatch(one[:]); err != nil {
+	for len(accs) > 0 && !d.sess.AtBoundary() {
+		m, _, err := d.StepBatch(accs)
+		if err != nil {
 			return err
 		}
-		drained++
+		accs = accs[m:]
+		drained += uint64(m)
 	}
 	sp.End(
 		slog.Uint64("work", drained),

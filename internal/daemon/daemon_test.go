@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"selftune/internal/cache"
@@ -73,7 +74,7 @@ func TestDaemonWatchdogAbortsStalledSession(t *testing.T) {
 	// A window budget far below what the search needs forces the watchdog:
 	// the session must be abandoned and the cache parked on SafeConfig.
 	prof, _ := workload.ByName("crc")
-	_, accs := trace.Split(trace.NewSliceSource(prof.Generate(600_000)))
+	accs := trace.OnlyData(prof.Generate(600_000))
 	d, err := New(Options{Window: 2_000, WatchdogWindows: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestDaemonDegradedMeterFallsBackSafely(t *testing.T) {
 	// re-measure/degrade policy must settle the cache on SafeConfig with
 	// the outcome marked degraded — and keep serving accesses throughout.
 	prof, _ := workload.ByName("crc")
-	_, accs := trace.Split(trace.NewSliceSource(prof.Generate(600_000)))
+	accs := trace.OnlyData(prof.Generate(600_000))
 	stuck := func(cfg cache.Config, st cache.Stats) cache.Stats { return cache.Stats{} }
 	d, err := New(Options{Window: 2_000, Meter: stuck})
 	if err != nil {
@@ -135,22 +136,20 @@ func TestDaemonGracefulShutdownResumes(t *testing.T) {
 	}
 	feedAll(t, baseline, accs)
 
-	// First life: cancel partway through via a source that trips the
-	// context after ~60k accesses.
-	ctx, cancel := context.WithCancel(context.Background())
+	// First life: step 60k accesses, then Run under a cancelled context,
+	// which drains the in-flight window and persists.
 	d, err := New(Options{Window: 2_000, Dir: dir, CheckpointEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	src := trace.NewFilter(trace.NewSliceSource(accs), func(trace.Access) bool {
-		n++
-		if n == 60_000 {
-			cancel()
+	for d.Consumed() < 60_000 {
+		if _, _, err := d.StepBatch(accs[d.Consumed():60_000]); err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if err := d.Run(ctx, src); err != context.Canceled {
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := d.Run(ctx, accs); err != context.Canceled {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 	stopped := d.Consumed()
@@ -171,7 +170,7 @@ func TestDaemonGracefulShutdownResumes(t *testing.T) {
 	if lost := stopped - d2.Consumed(); lost > 2_000+2_000/4 {
 		t.Errorf("graceful shutdown lost %d accesses; at most one partial window may be redone", lost)
 	}
-	if err := d2.Run(context.Background(), trace.NewSliceSource(accs)); err != nil {
+	if err := d2.Run(context.Background(), accs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,5 +185,38 @@ func TestDaemonGracefulShutdownResumes(t *testing.T) {
 	}
 	if baseline.Config() != d2.Config() {
 		t.Errorf("final config %v, want %v", d2.Config(), baseline.Config())
+	}
+}
+
+// TestRunRefusesStreamShorterThanCheckpoint: a daemon resumed from a
+// checkpoint cannot continue a stream that ends before the consumed
+// prefix — Run reports where the stream ends and steps nothing.
+func TestRunRefusesStreamShorterThanCheckpoint(t *testing.T) {
+	accs := twoPhaseStream(20_000, 20_000)
+	dir := t.TempDir()
+	d, err := New(Options{Window: 2_000, Dir: dir, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background(), accs); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := New(Options{Window: 2_000, Dir: dir, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumed, windows := d2.Consumed(), d2.Windows()
+	if !d2.Recovered() || consumed == 0 {
+		t.Fatalf("second life recovered=%v at %d accesses; want a resumed daemon", d2.Recovered(), consumed)
+	}
+	short := accs[:consumed-1]
+	err = d2.Run(context.Background(), short)
+	want := fmt.Sprintf("daemon: stream ends at %d accesses but the checkpoint consumed %d", len(short), consumed)
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run over a short stream = %v, want %q", err, want)
+	}
+	if d2.Consumed() != consumed || d2.Windows() != windows {
+		t.Errorf("refused Run stepped the daemon: consumed %d -> %d, windows %d -> %d", consumed, d2.Consumed(), windows, d2.Windows())
 	}
 }

@@ -21,7 +21,7 @@ import (
 // observation.
 func TestRunDrainsInFlightWindowOnCancel(t *testing.T) {
 	prof, _ := workload.ByName("crc")
-	_, accs := trace.Split(trace.NewSliceSource(prof.Generate(400_000)))
+	accs := trace.OnlyData(prof.Generate(400_000))
 
 	dir := t.TempDir()
 	var log bytes.Buffer
@@ -42,7 +42,7 @@ func TestRunDrainsInFlightWindowOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := d.Run(ctx, trace.NewSliceSource(accs)); err != context.Canceled {
+	if err := d.Run(ctx, accs); err != context.Canceled {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 	if d.Consumed() <= 500 {

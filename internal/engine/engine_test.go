@@ -18,7 +18,7 @@ func dataStream(t testing.TB, name string, n int) []trace.Access {
 	if !ok {
 		t.Fatalf("unknown profile %q", name)
 	}
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
+	data := trace.OnlyData(prof.Generate(n))
 	return data
 }
 

@@ -17,7 +17,7 @@ func obsTestEngine(n int, opts ...Option) *Engine[cache.Config] {
 	if !ok {
 		prof = workload.Profiles()[0]
 	}
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
+	data := trace.OnlyData(prof.Generate(n))
 	return New(data, Configurable(energy.DefaultParams()), opts...)
 }
 

@@ -105,7 +105,7 @@ func ChaosSoak(opt ChaosOptions) (*ChaosOutcome, error) {
 	if !ok {
 		return nil, fmt.Errorf("chaos: unknown benchmark %q", opt.Bench)
 	}
-	_, accs := trace.Split(trace.NewSliceSource(prof.Generate(opt.N)))
+	accs := trace.OnlyData(prof.Generate(opt.N))
 	if opt.TraceFaultRate > 0 {
 		// Corrupt the stream once, up front: the baseline and the killed
 		// run must disagree about nothing but process lifetime.

@@ -17,13 +17,13 @@ func TestExperimentsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	p := energy.DefaultParams()
 	const n = 20_000
 
-	if serial, parallel := Table1Workers(n, p, 1), Table1Workers(n, p, 4); !reflect.DeepEqual(serial, parallel) {
+	if serial, parallel := table1(t, n, 1), table1(t, n, 4); !reflect.DeepEqual(serial, parallel) {
 		t.Error("Table1 diverged across worker counts")
 	}
-	if serial, parallel := Figure2Workers(n, p, 1), Figure2Workers(n, p, 4); !reflect.DeepEqual(serial, parallel) {
+	if serial, parallel := figure2(t, n, 1), figure2(t, n, 4); !reflect.DeepEqual(serial, parallel) {
 		t.Error("Figure2 diverged across worker counts")
 	}
-	if serial, parallel := Figure34Workers(n, false, p, 1), Figure34Workers(n, false, p, 4); !reflect.DeepEqual(serial, parallel) {
+	if serial, parallel := figure34(t, n, false, 1), figure34(t, n, false, 4); !reflect.DeepEqual(serial, parallel) {
 		t.Error("Figure34 diverged across worker counts")
 	}
 	// The window study drops each profile's init phase (up to ~24k

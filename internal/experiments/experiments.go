@@ -43,46 +43,36 @@ type Table1Result struct {
 	AccessesPerBenchmark int
 }
 
-// Table1 regenerates the paper's Table 1 over the 19 benchmark profiles
-// with the default worker count.
-func Table1(n int, p *energy.Params) Table1Result { return Table1Workers(n, p, 0) }
-
-// Table1Workers regenerates Table 1 fanning the benchmarks (and each
-// benchmark's exhaustive baseline) out across workers goroutines.
-func Table1Workers(n int, p *energy.Params, workers int) Table1Result {
-	res, err := Table1Ctx(context.Background(), n, p, workers)
-	if err != nil {
-		// Unreachable for a background context short of a worker crash,
-		// which the context-free API has no way to report.
-		panic(err)
-	}
-	return res
-}
-
-// Table1Ctx is Table1Workers under a context: a deadline or cancellation
-// aborts the run between benchmarks and returns the context's error. This
-// is what the cmd tools' -timeout flags call.
+// Table1Ctx regenerates the paper's Table 1 over the 19 benchmark
+// profiles, fanning the benchmarks (and each benchmark's exhaustive
+// baseline) out across workers goroutines. A deadline or cancellation
+// aborts the run between benchmarks and returns the context's error.
 func Table1Ctx(ctx context.Context, n int, p *energy.Params, workers int) (Table1Result, error) {
 	profiles := workload.Profiles()
-
-	// benchOutcome carries what one benchmark contributes to the table:
-	// its row plus the heuristic/optimal excess per cache stream.
-	type benchOutcome struct {
-		row              Table1Row
-		iExcess, dExcess float64
-	}
-	outcomes, err := engine.ParallelErr(ctx, len(profiles), workers, func(i int) (benchOutcome, error) {
+	outcomes, err := engine.ParallelErr(ctx, len(profiles), workers, func(i int) (table1Outcome, error) {
 		prof := profiles[i]
-		inst, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
-		row, iExcess, dExcess := table1Row(prof.Name, inst, data, p, workers)
-		row.PaperI, row.PaperD = prof.Paper.ICfg, prof.Paper.DCfg
-		return benchOutcome{row: row, iExcess: iExcess, dExcess: dExcess}, nil
+		inst, data := trace.Split(prof.Generate(n))
+		o := table1Row(prof.Name, inst, data, p, workers)
+		o.row.PaperI, o.row.PaperD = prof.Paper.ICfg, prof.Paper.DCfg
+		return o, nil
 	})
 	if err != nil {
 		return Table1Result{}, err
 	}
+	return summarizeTable1(outcomes, n), nil
+}
 
-	res := Table1Result{AccessesPerBenchmark: n}
+// table1Outcome is what one benchmark contributes to Table 1: its row plus
+// the heuristic/optimal - 1 excess per cache stream.
+type table1Outcome struct {
+	row              Table1Row
+	iExcess, dExcess float64
+}
+
+// summarizeTable1 reduces the benchmarks' outcomes, in order, into the
+// table and its summary line.
+func summarizeTable1(outcomes []table1Outcome, accesses int) Table1Result {
+	res := Table1Result{AccessesPerBenchmark: accesses}
 	for _, o := range outcomes {
 		row := o.row
 		res.Rows = append(res.Rows, row)
@@ -113,7 +103,7 @@ func Table1Ctx(ctx context.Context, n int, p *energy.Params, workers int) (Table
 	res.AvgDNum /= k
 	res.AvgISave /= k
 	res.AvgDSave /= k
-	return res, nil
+	return res
 }
 
 // Table renders the result in the paper's layout.
@@ -145,23 +135,12 @@ type Fig2Point struct {
 	OnChip, OffChip, Total float64
 }
 
-// Figure2 sweeps direct-mapped caches 1 KB-1 MB over the parser-like
-// workload's data stream with the default worker count.
-func Figure2(n int, p *energy.Params) []Fig2Point { return Figure2Workers(n, p, 0) }
-
-// Figure2Workers runs the Figure 2 size sweep fanned out across workers.
-func Figure2Workers(n int, p *energy.Params, workers int) []Fig2Point {
-	out, err := Figure2Ctx(context.Background(), n, p, workers)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// Figure2Ctx is Figure2Workers under a context: a deadline or cancellation
-// aborts the sweep (including mid-replay) and returns the context's error.
+// Figure2Ctx sweeps direct-mapped caches 1 KB-1 MB over the parser-like
+// workload's data stream, fanned out across workers. A deadline or
+// cancellation aborts the sweep (including mid-replay) and returns the
+// context's error.
 func Figure2Ctx(ctx context.Context, n int, p *energy.Params, workers int) ([]Fig2Point, error) {
-	_, data := trace.Split(trace.NewSliceSource(workload.ParserLike().Generate(n)))
+	data := trace.OnlyData(workload.ParserLike().Generate(n))
 	return figure2Sweep(ctx, data, p, workers)
 }
 
@@ -205,25 +184,11 @@ type Fig34Row struct {
 	Normalised  float64 // Energy / max over configurations
 }
 
-// Figure34 sweeps the 18 base configurations over all benchmarks with the
-// default worker count; inst selects the instruction (Figure 3) or data
-// (Figure 4) stream.
-func Figure34(n int, inst bool, p *energy.Params) []Fig34Row {
-	return Figure34Workers(n, inst, p, 0)
-}
-
-// Figure34Workers runs the Figure 3/4 sweep fanning the benchmarks (and
-// each benchmark's 18-configuration sweep) out across workers.
-func Figure34Workers(n int, inst bool, p *energy.Params, workers int) []Fig34Row {
-	rows, err := Figure34Ctx(context.Background(), n, inst, p, workers)
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-// Figure34Ctx is Figure34Workers under a context: a deadline or cancellation
-// aborts the sweep (including mid-replay) and returns the context's error.
+// Figure34Ctx sweeps the 18 base configurations over all benchmarks,
+// fanning the benchmarks (and each benchmark's 18-configuration sweep) out
+// across workers; inst selects the instruction (Figure 3) or data (Figure
+// 4) stream. A deadline or cancellation aborts the sweep (including
+// mid-replay) and returns the context's error.
 func Figure34Ctx(ctx context.Context, n int, inst bool, p *energy.Params, workers int) ([]Fig34Row, error) {
 	configs := cache.BaseConfigs()
 	profiles := workload.Profiles()
@@ -232,12 +197,11 @@ func Figure34Ctx(ctx context.Context, n int, inst bool, p *energy.Params, worker
 	// without the end-of-interval drain.
 	m.NoDrain = true
 	perProfile, err := engine.ParallelErr(ctx, len(profiles), workers, func(pi int) ([]engine.Result[cache.Config], error) {
-		i, d := trace.Split(trace.NewSliceSource(profiles[pi].Generate(n)))
-		stream := d
+		keep := trace.OnlyData
 		if inst {
-			stream = i
+			keep = trace.OnlyInst
 		}
-		return engine.SweepCtx(ctx, stream, m, configs, workers)
+		return engine.SweepCtx(ctx, keep(profiles[pi].Generate(n)), m, configs, workers)
 	})
 	if err != nil {
 		return nil, err
@@ -278,16 +242,11 @@ type WindowPoint struct {
 	AvgTuningLength float64 // accesses until the session settles
 }
 
-// WindowSensitivity studies the on-chip tuner's one free parameter with the
-// default worker count: the per-configuration measurement interval. Short
-// windows finish tuning sooner but measure noisier intervals; long windows
-// converge to the offline decision. Run over every benchmark's data stream.
-func WindowSensitivity(n int, windows []uint64, p *energy.Params) []WindowPoint {
-	return WindowSensitivityWorkers(n, windows, p, 0)
-}
-
-// WindowSensitivityWorkers runs the window study fanning the benchmark
-// streams (offline baselines and online sessions) out across workers.
+// WindowSensitivityWorkers studies the on-chip tuner's one free
+// parameter: the per-configuration measurement interval. Short windows
+// finish tuning sooner but measure noisier intervals; long windows converge
+// to the offline decision. Run over every benchmark's data stream, fanning
+// the streams (offline baselines and online sessions) out across workers.
 func WindowSensitivityWorkers(n int, windows []uint64, p *energy.Params, workers int) []WindowPoint {
 	type stream struct {
 		accs []trace.Access
@@ -299,7 +258,7 @@ func WindowSensitivityWorkers(n int, windows []uint64, p *energy.Params, workers
 		prof := profiles[i]
 		all := prof.Generate(n)
 		steady := all[prof.InitAccesses:]
-		_, data := trace.Split(trace.NewSliceSource(steady))
+		data := trace.OnlyData(steady)
 		ev := tuner.NewTraceEvaluator(data, p)
 		opt := tuner.ExhaustiveWorkers(ev, cache.AllConfigs(), workers).Best.Energy
 		return stream{data, opt, ev}
@@ -320,12 +279,8 @@ func WindowSensitivityWorkers(n int, windows []uint64, p *energy.Params, workers
 			c := cache.MustConfigurable(cache.MinConfig())
 			o := tuner.NewOnline(c, p, tuner.OnlineOptions{Window: w})
 			settled := 0
-			for i, a := range s.accs {
-				if o.Done() {
-					break
-				}
-				o.Access(a.Addr, a.IsWrite())
-				settled = i + 1
+			for settled < len(s.accs) && !o.Done() {
+				settled += o.Replay(s.accs[settled:])
 			}
 			var excess float64
 			if o.Done() {

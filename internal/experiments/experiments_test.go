@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -10,11 +11,42 @@ import (
 
 const testAccesses = 150_000
 
+// table1 runs Table1Ctx with the default parameters, failing t on error.
+func table1(t *testing.T, n, workers int) Table1Result {
+	t.Helper()
+	r, err := Table1Ctx(context.Background(), n, energy.DefaultParams(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// figure2 runs Figure2Ctx with the default parameters, failing t on error.
+func figure2(t *testing.T, n, workers int) []Fig2Point {
+	t.Helper()
+	pts, err := Figure2Ctx(context.Background(), n, energy.DefaultParams(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
+}
+
+// figure34 runs Figure34Ctx with the default parameters, failing t on
+// error.
+func figure34(t *testing.T, n int, inst bool, workers int) []Fig34Row {
+	t.Helper()
+	rows, err := Figure34Ctx(context.Background(), n, inst, energy.DefaultParams(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // TestTable1ReproductionQuality pins the headline reproduction claims:
 // nearly all per-cache selections match the paper's Table 1, the heuristic
 // examines ~5-6 configurations, and savings land in the paper's band.
 func TestTable1ReproductionQuality(t *testing.T) {
-	r := Table1(testAccesses, energy.DefaultParams())
+	r := table1(t, testAccesses, 0)
 	if len(r.Rows) != 19 {
 		t.Fatalf("rows = %d, want 19", len(r.Rows))
 	}
@@ -48,7 +80,7 @@ func TestTable1ReproductionQuality(t *testing.T) {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	r := Table1(40_000, energy.DefaultParams())
+	r := table1(t, 40_000, 0)
 	out := r.Table().String()
 	for _, want := range []string{"Ben.", "crc", "mpeg2", "Average:"} {
 		if !strings.Contains(out, want) {
@@ -64,7 +96,7 @@ func TestTable1Rendering(t *testing.T) {
 // non-increasing, on-chip eventually increasing, total with an interior
 // minimum in the 8-64 KB region.
 func TestFigure2Shape(t *testing.T) {
-	pts := Figure2(testAccesses, energy.DefaultParams())
+	pts := figure2(t, testAccesses, 0)
 	if len(pts) != 11 {
 		t.Fatalf("points = %d, want 11 (1 KB..1 MB)", len(pts))
 	}
@@ -89,9 +121,8 @@ func TestFigure2Shape(t *testing.T) {
 // TestFigure34Claims pins the paper's §3.2 impact analysis on the swept
 // averages: size dominates, line matters more for data, associativity least.
 func TestFigure34Claims(t *testing.T) {
-	p := energy.DefaultParams()
 	for _, inst := range []bool{true, false} {
-		rows := Figure34(testAccesses, inst, p)
+		rows := figure34(t, testAccesses, inst, 0)
 		if len(rows) != 18 {
 			t.Fatalf("rows = %d, want 18 base configurations", len(rows))
 		}
@@ -130,7 +161,7 @@ func TestFigure34Claims(t *testing.T) {
 // interval: longer windows never choose worse on stationary streams, and
 // even short windows stay within a reasonable band of the offline optimum.
 func TestWindowSensitivity(t *testing.T) {
-	pts := WindowSensitivity(2_000_000, []uint64{1_000, 10_000, 40_000}, energy.DefaultParams())
+	pts := WindowSensitivityWorkers(2_000_000, []uint64{1_000, 10_000, 40_000}, energy.DefaultParams(), 0)
 	for _, pt := range pts {
 		t.Logf("window=%6d avg-excess=%5.1f%% worst=%5.1f%% avg-tuning-length=%.0f",
 			pt.Window, 100*pt.AvgExcess, 100*pt.WorstExcess, pt.AvgTuningLength)
@@ -168,7 +199,7 @@ func TestTable1GoldenSelections(t *testing.T) {
 		}
 		golden[f[0]] = [2]string{f[1], f[2]}
 	}
-	r := Table1(testAccesses, energy.DefaultParams())
+	r := table1(t, testAccesses, 0)
 	if len(golden) != len(r.Rows) {
 		t.Fatalf("golden has %d rows, table has %d", len(golden), len(r.Rows))
 	}

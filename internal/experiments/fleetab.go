@@ -116,7 +116,7 @@ func openFleet(opt FleetABOptions, enforce bool, dir string, pinned map[string]i
 		if !ok {
 			return nil, nil, fmt.Errorf("unknown workload %q", name)
 		}
-		_, accs := trace.Split(trace.NewSliceSource(prof.Generate(opt.N)))
+		accs := trace.OnlyData(prof.Generate(opt.N))
 		traces[name] = accs
 	}
 	m, err := fleet.New(fleet.Options{

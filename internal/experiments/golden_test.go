@@ -6,8 +6,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"selftune/internal/energy"
 )
 
 // update rewrites the golden files with the current outputs. After an
@@ -48,7 +46,7 @@ func checkGolden(t *testing.T, name, got string) {
 // (which pins only the chosen configurations at the experiment's default
 // length), any numeric drift at all fails here.
 func TestTable1Golden(t *testing.T) {
-	r := Table1(goldenAccesses, energy.DefaultParams())
+	r := table1(t, goldenAccesses, 0)
 	var b strings.Builder
 	b.WriteString(r.Table().String())
 	fmt.Fprintf(&b, "avgINum=%.2f avgDNum=%.2f avgISave=%.4f avgDSave=%.4f matches=%d optMisses=%d\n",
@@ -59,7 +57,7 @@ func TestTable1Golden(t *testing.T) {
 // TestFigure2Golden pins the Figure 2 size sweep's energy curve point by
 // point at full float precision.
 func TestFigure2Golden(t *testing.T) {
-	points := Figure2(goldenAccesses, energy.DefaultParams())
+	points := figure2(t, goldenAccesses, 0)
 	var b strings.Builder
 	for _, pt := range points {
 		fmt.Fprintf(&b, "%d %.9g %.9g %.9g\n", pt.SizeBytes, pt.OnChip, pt.OffChip, pt.Total)

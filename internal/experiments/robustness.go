@@ -62,9 +62,6 @@ type FaultSweepResult struct {
 	Cells     []FaultCell
 }
 
-// FaultSweep runs the robustness study with the default worker count.
-func FaultSweep(opt FaultSweepOptions) FaultSweepResult { return FaultSweepWorkers(opt, 0) }
-
 // FaultSweepWorkers fans the per-benchmark baselines and the Monte Carlo
 // trials out across workers goroutines. Every per-trial random decision is
 // derived from (Seed, benchmark, rate index, trial index), so the result is
@@ -95,7 +92,7 @@ func FaultSweepWorkers(opt FaultSweepOptions, workers int) FaultSweepResult {
 		if !ok {
 			panic("experiments: unknown benchmark " + names[i])
 		}
-		_, data := trace.Split(trace.NewSliceSource(prof.Generate(opt.N)))
+		data := trace.OnlyData(prof.Generate(opt.N))
 		ev := tuner.NewTraceEvaluator(data, p)
 		return bench{names[i], data, ev, tuner.ExhaustiveWorkers(ev, cache.AllConfigs(), workers).Best.Energy}
 	})

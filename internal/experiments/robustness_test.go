@@ -46,7 +46,7 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 // trial within tolerance (the heuristic is near-optimal on these
 // benchmarks), and all trials of a cell identical (WorstExcess == AvgExcess).
 func TestFaultSweepCleanControlRow(t *testing.T) {
-	res := FaultSweep(smallSweep())
+	res := FaultSweepWorkers(smallSweep(), 0)
 	found := 0
 	for _, c := range res.Cells {
 		if c.Rate != 0 {
@@ -78,7 +78,7 @@ func TestFaultSweepSurvivesHeavyFaults(t *testing.T) {
 	opt := smallSweep()
 	opt.Rates = []float64{0.5}
 	opt.Trials = 4
-	res := FaultSweep(opt)
+	res := FaultSweepWorkers(opt, 0)
 	for _, c := range res.Cells {
 		if c.Trials != opt.Trials {
 			t.Errorf("%s: %d trials recorded, want %d", c.Bench, c.Trials, opt.Trials)

@@ -21,9 +21,8 @@ import (
 // table1Row computes one Table 1 row over a pair of recorded streams: the
 // heuristic's pick, the exhaustive optimum, and the savings versus the 8K
 // 4-way base, for each cache. PaperI/PaperD are left empty — a recorded
-// trace has no published reference selection. The two excess values are
-// heuristic/optimal - 1 per stream.
-func table1Row(name string, inst, data []trace.Access, p *energy.Params, workers int) (Table1Row, float64, float64) {
+// trace has no published reference selection.
+func table1Row(name string, inst, data []trace.Access, p *energy.Params, workers int) table1Outcome {
 	base := cache.BaseConfig()
 	iev := tuner.NewTraceEvaluator(inst, p)
 	dev := tuner.NewTraceEvaluator(data, p)
@@ -44,7 +43,7 @@ func table1Row(name string, inst, data []trace.Access, p *energy.Params, workers
 		IOpt:  iOpt.Cfg,
 		DOpt:  dOpt.Cfg,
 	}
-	return row, ih.Best.Energy/iOpt.Energy - 1, dh.Best.Energy/dOpt.Energy - 1
+	return table1Outcome{row, ih.Best.Energy/iOpt.Energy - 1, dh.Best.Energy/dOpt.Energy - 1}
 }
 
 // Table1TraceCtx computes a one-row Table 1 over a recorded trace's
@@ -52,7 +51,7 @@ func table1Row(name string, inst, data []trace.Access, p *energy.Params, workers
 // study tunes the I-cache and D-cache separately, so a trace missing either
 // stream cannot fill the row.
 func Table1TraceCtx(ctx context.Context, name string, accs []trace.Access, p *energy.Params, workers int) (Table1Result, error) {
-	inst, data := trace.Split(trace.NewSliceSource(accs))
+	inst, data := trace.Split(accs)
 	if len(inst) == 0 || len(data) == 0 {
 		return Table1Result{}, fmt.Errorf(
 			"experiments: trace %q has %d instruction and %d data accesses; Table 1 needs both streams (is this a data-only or instruction-only trace?)",
@@ -61,32 +60,13 @@ func Table1TraceCtx(ctx context.Context, name string, accs []trace.Access, p *en
 	if err := ctx.Err(); err != nil {
 		return Table1Result{}, err
 	}
-	row, iExcess, dExcess := table1Row(name, inst, data, p, workers)
-	res := Table1Result{
-		Rows:                 []Table1Row{row},
-		AvgINum:              float64(row.INum),
-		AvgDNum:              float64(row.DNum),
-		AvgISave:             row.ISave,
-		AvgDSave:             row.DSave,
-		AccessesPerBenchmark: len(accs),
-		WorstOptimumExcess:   iExcess,
-	}
-	if dExcess > res.WorstOptimumExcess {
-		res.WorstOptimumExcess = dExcess
-	}
-	if row.ICfg != row.IOpt {
-		res.OptimumMisses++
-	}
-	if row.DCfg != row.DOpt {
-		res.OptimumMisses++
-	}
-	return res, nil
+	return summarizeTable1([]table1Outcome{table1Row(name, inst, data, p, workers)}, len(accs)), nil
 }
 
 // Figure2TraceCtx runs the Figure 2 direct-mapped size sweep over a recorded
 // trace's data stream.
 func Figure2TraceCtx(ctx context.Context, name string, accs []trace.Access, p *energy.Params, workers int) ([]Fig2Point, error) {
-	_, data := trace.Split(trace.NewSliceSource(accs))
+	data := trace.OnlyData(accs)
 	if len(data) == 0 {
 		return nil, fmt.Errorf("experiments: trace %q has no data accesses; the Figure 2 sweep measures the data cache", name)
 	}
@@ -97,11 +77,11 @@ func Figure2TraceCtx(ctx context.Context, name string, accs []trace.Access, p *e
 // recorded trace: the instruction stream for the Figure 3 shape, the data
 // stream for Figure 4.
 func Figure34TraceCtx(ctx context.Context, name string, accs []trace.Access, inst bool, p *energy.Params, workers int) ([]Fig34Row, error) {
-	i, d := trace.Split(trace.NewSliceSource(accs))
-	stream, which := d, "data"
+	keep, which := trace.OnlyData, "data"
 	if inst {
-		stream, which = i, "instruction"
+		keep, which = trace.OnlyInst, "instruction"
 	}
+	stream := keep(accs)
 	if len(stream) == 0 {
 		return nil, fmt.Errorf("experiments: trace %q has no %s accesses for this sweep", name, which)
 	}

@@ -98,7 +98,7 @@ func oracleTraces(t *testing.T) map[string][]trace.Access {
 		if !ok {
 			t.Fatalf("unknown profile %q", name)
 		}
-		inst, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
+		inst, data := trace.Split(prof.Generate(n))
 		out[name+"-I"] = inst
 		out[name+"-D"] = data
 	}
@@ -446,7 +446,7 @@ func TestOracleDefaultTable1Path(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown profile %q", name)
 		}
-		inst, data := trace.Split(trace.NewSliceSource(prof.Generate(80_000)))
+		inst, data := trace.Split(prof.Generate(80_000))
 		for half, s := range map[string][]trace.Access{"I": inst[:min(len(inst), 40_000)], "D": data[:min(len(data), 40_000)]} {
 			want := run(tuner.EngineEvaluator{Eng: engine.New(s, engine.Configurable(p), engine.WithReferenceSim())}, false)
 			for _, exhaustiveFirst := range []bool{false, true} {

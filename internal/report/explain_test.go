@@ -21,7 +21,7 @@ func record(t *testing.T) (*tuner.Online, []byte) {
 	if !ok {
 		t.Fatal("jpeg workload missing")
 	}
-	_, accs := trace.Split(trace.NewSliceSource(prof.Generate(400_000)))
+	accs := trace.OnlyData(prof.Generate(400_000))
 	var log bytes.Buffer
 	c := cache.MustConfigurable(cache.MinConfig())
 	o := tuner.NewOnline(c, energy.DefaultParams(), tuner.OnlineOptions{Window: 2_000, Rec: obs.NewJSONL(&log)})

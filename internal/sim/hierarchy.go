@@ -54,12 +54,8 @@ func (h *Hierarchy) Access(a trace.Access) {
 }
 
 // Run replays a stream.
-func (h *Hierarchy) Run(src trace.Source) {
-	for {
-		a, ok := src.Next()
-		if !ok {
-			return
-		}
+func (h *Hierarchy) Run(accs []trace.Access) {
+	for _, a := range accs {
 		h.Access(a)
 	}
 }
@@ -114,7 +110,7 @@ func HierarchyEvaluator(accs []trace.Access, p *energy.Params) func(values []int
 		if err != nil {
 			panic(err)
 		}
-		h.Run(trace.NewSliceSource(accs))
+		h.Run(accs)
 		e = h.Energy(p)
 		mu.Lock()
 		memo[key] = e

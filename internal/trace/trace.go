@@ -44,94 +44,51 @@ func (a Access) IsWrite() bool { return a.Kind == DataWrite }
 // IsData reports whether the access belongs to the data stream.
 func (a Access) IsData() bool { return a.Kind != InstFetch }
 
-// Source yields a reference stream. Next returns ok=false at end of stream.
-type Source interface {
-	Next() (a Access, ok bool)
-}
+// NewSliceSource returns accs unchanged. Streams are recorded []Access
+// slices throughout; the identity remains only because the perfbench module
+// still spells its splits Split(NewSliceSource(x)), and goes when that
+// module next changes.
+func NewSliceSource(accs []Access) []Access { return accs }
 
-// SliceSource replays a recorded stream.
-type SliceSource struct {
-	accs []Access
-	pos  int
-}
+// OnlyInst returns the instruction stream of accs, allocated once at its
+// exact length (nil when empty).
+func OnlyInst(accs []Access) []Access { return keep(accs, true) }
 
-// NewSliceSource replays accs.
-func NewSliceSource(accs []Access) *SliceSource { return &SliceSource{accs: accs} }
+// OnlyData returns the data stream of accs, allocated once at its exact
+// length (nil when empty).
+func OnlyData(accs []Access) []Access { return keep(accs, false) }
 
-// Next implements Source.
-func (s *SliceSource) Next() (Access, bool) {
-	if s.pos >= len(s.accs) {
-		return Access{}, false
-	}
-	a := s.accs[s.pos]
-	s.pos++
-	return a, true
-}
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Collect drains up to max accesses from src (max <= 0 means all).
-func Collect(src Source, max int) []Access {
-	var out []Access
-	for {
-		a, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, a)
-		if max > 0 && len(out) >= max {
-			return out
+// keep returns the instruction fetches of accs when inst is true and the
+// data accesses otherwise, counting them first so the result is allocated
+// once.
+func keep(accs []Access, inst bool) []Access {
+	n := 0
+	for _, a := range accs {
+		if a.IsData() != inst {
+			n++
 		}
 	}
-}
-
-// Filter yields only accesses matching keep.
-type Filter struct {
-	src  Source
-	keep func(Access) bool
-}
-
-// NewFilter wraps src.
-func NewFilter(src Source, keep func(Access) bool) *Filter {
-	return &Filter{src: src, keep: keep}
-}
-
-// Next implements Source.
-func (f *Filter) Next() (Access, bool) {
-	for {
-		a, ok := f.src.Next()
-		if !ok {
-			return Access{}, false
-		}
-		if f.keep(a) {
-			return a, true
+	if n == 0 {
+		return nil
+	}
+	out := make([]Access, 0, n)
+	for _, a := range accs {
+		if a.IsData() != inst {
+			out = append(out, a)
 		}
 	}
-}
-
-// OnlyInst keeps the instruction stream.
-func OnlyInst(src Source) *Filter {
-	return NewFilter(src, func(a Access) bool { return a.Kind == InstFetch })
-}
-
-// OnlyData keeps the data stream.
-func OnlyData(src Source) *Filter {
-	return NewFilter(src, func(a Access) bool { return a.IsData() })
+	return out
 }
 
 // Split partitions a mixed stream into its instruction and data halves,
-// each allocated at its exact length (nil when empty). A *SliceSource is
-// partitioned straight from its remaining slice and left drained; any
-// other source is collected first.
-func Split(src Source) (inst, data []Access) {
-	var accs []Access
-	if s, ok := src.(*SliceSource); ok {
-		accs = s.accs[s.pos:]
-		s.pos = len(s.accs)
-	} else {
-		accs = Collect(src, 0)
-	}
+// each allocated at its exact length (nil when empty).
+//
+// Split is small enough to inline, but inlined into a large caller such
+// as experiments.Table1TraceCtx its fill loop spills both slice headers to
+// the stack on every access, about 10% slower per access than the call.
+//
+//go:noinline
+func Split(accs []Access) (inst, data []Access) {
 	ni := 0
 	for _, a := range accs {
 		if a.Kind == InstFetch {

@@ -21,56 +21,55 @@ func sample() []Access {
 	}
 }
 
-func TestSliceSourceAndCollect(t *testing.T) {
-	s := NewSliceSource(sample())
-	got := Collect(s, 0)
-	if !reflect.DeepEqual(got, sample()) {
-		t.Fatalf("Collect = %v, want %v", got, sample())
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("exhausted source still yields")
-	}
-	s.Reset()
-	if got := Collect(s, 2); len(got) != 2 {
-		t.Errorf("Collect(max=2) returned %d", len(got))
+func TestNewSliceSourceIsIdentity(t *testing.T) {
+	accs := sample()
+	if got := NewSliceSource(accs); &got[0] != &accs[0] || len(got) != len(accs) {
+		t.Errorf("NewSliceSource = %v, want the same slice %v", got, accs)
 	}
 }
 
 func TestFilters(t *testing.T) {
-	inst := Collect(OnlyInst(NewSliceSource(sample())), 0)
-	if len(inst) != 3 {
-		t.Errorf("OnlyInst = %d accesses, want 3", len(inst))
+	inst := OnlyInst(sample())
+	if want := []Access{sample()[0], sample()[1], sample()[3]}; !reflect.DeepEqual(inst, want) {
+		t.Errorf("OnlyInst = %v, want %v", inst, want)
 	}
-	data := Collect(OnlyData(NewSliceSource(sample())), 0)
-	if len(data) != 2 {
-		t.Errorf("OnlyData = %d accesses, want 2", len(data))
+	data := OnlyData(sample())
+	if want := []Access{sample()[2], sample()[4]}; !reflect.DeepEqual(data, want) {
+		t.Errorf("OnlyData = %v, want %v", data, want)
 	}
-	for _, a := range data {
-		if !a.IsData() {
-			t.Errorf("OnlyData yielded %v", a)
-		}
+	if cap(inst) != len(inst) || cap(data) != len(data) {
+		t.Errorf("filter results not at exact length: caps %d/%d for %d/%d", cap(inst), cap(data), len(inst), len(data))
+	}
+	// An empty side is nil, and so is an empty input.
+	if got := OnlyInst(data); got != nil {
+		t.Errorf("OnlyInst of a data stream = %v, want nil", got)
+	}
+	if got := OnlyData(nil); got != nil {
+		t.Errorf("OnlyData(nil) = %v, want nil", got)
+	}
+	// Each filter allocates once, whatever the stream's length.
+	accs := mixedStream(10_000)
+	if n := testing.AllocsPerRun(5, func() { data = OnlyData(accs) }); n != 1 {
+		t.Errorf("OnlyData made %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { inst = OnlyInst(accs) }); n != 1 {
+		t.Errorf("OnlyInst made %v allocations, want 1", n)
+	}
+	if i, d := Split(accs); !reflect.DeepEqual(inst, i) || !reflect.DeepEqual(data, d) {
+		t.Error("OnlyInst/OnlyData disagree with Split")
 	}
 }
 
 func TestSplit(t *testing.T) {
-	inst, data := Split(NewSliceSource(sample()))
+	inst, data := Split(sample())
 	if len(inst) != 3 || len(data) != 2 {
 		t.Fatalf("Split = %d/%d, want 3/2", len(inst), len(data))
 	}
 	if data[1].Kind != DataWrite || !data[1].IsWrite() {
 		t.Errorf("write access misclassified: %v", data[1])
 	}
-	// A partly drained source splits only what is left, and ends drained.
-	src := NewSliceSource(sample())
-	src.Next()
-	if inst, data := Split(src); len(inst) != 2 || len(data) != 2 {
-		t.Errorf("Split after one Next = %d/%d, want 2/2", len(inst), len(data))
-	}
-	if _, ok := src.Next(); ok {
-		t.Error("Split left its source undrained")
-	}
-	// Any other source is collected first; an empty half is nil.
-	if inst, data := Split(OnlyData(NewSliceSource(sample()))); inst != nil || len(data) != 2 {
+	// An empty half is nil.
+	if inst, data := Split(OnlyData(sample())); inst != nil || len(data) != 2 {
 		t.Errorf("Split(OnlyData) = %v/%v, want nil and 2 data accesses", inst, data)
 	}
 }
@@ -207,9 +206,8 @@ func TestEncodeAllocatesPerStreamNotPerAccess(t *testing.T) {
 // its exact length.
 func TestSplitAllocatesExactly(t *testing.T) {
 	accs := mixedStream(10_000)
-	src := NewSliceSource(accs)
 	var inst, data []Access
-	if n := testing.AllocsPerRun(5, func() { src.Reset(); inst, data = Split(src) }); n != 2 {
+	if n := testing.AllocsPerRun(5, func() { inst, data = Split(accs) }); n != 2 {
 		t.Errorf("Split made %v allocations, want 2", n)
 	}
 	if len(inst)+len(data) != len(accs) || cap(inst) != len(inst) || cap(data) != len(data) {

@@ -20,7 +20,7 @@ import (
 func TestEvaluatorsSafeUnderConcurrentEvaluate(t *testing.T) {
 	p := energy.DefaultParams()
 	prof, _ := workload.ByName("ucbqsort")
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(20_000)))
+	data := trace.OnlyData(prof.Generate(20_000))
 	geo := cache.FourBank()
 
 	ev := NewTraceEvaluator(data, p)
@@ -66,7 +66,7 @@ func TestEvaluatorsSafeUnderConcurrentEvaluate(t *testing.T) {
 func TestExhaustiveWorkersMatchesSerial(t *testing.T) {
 	p := energy.DefaultParams()
 	prof, _ := workload.ByName("g721")
-	inst, _ := trace.Split(trace.NewSliceSource(prof.Generate(20_000)))
+	inst := trace.OnlyInst(prof.Generate(20_000))
 	configs := cache.AllConfigs()
 
 	serial := ExhaustiveWorkers(NewTraceEvaluator(inst, p), configs, 1)

@@ -2,6 +2,8 @@ package tuner
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
@@ -55,90 +57,62 @@ type Registers struct {
 	Config uint8
 }
 
-// sizeIndex/assocIndex/lineIndex map configurations to register indices.
-func sizeAssocIndex(cfg cache.Config) int {
-	switch {
-	case cfg.SizeBytes == 8192 && cfg.Ways == 4:
-		return 0
-	case cfg.SizeBytes == 8192 && cfg.Ways == 2:
-		return 1
-	case cfg.SizeBytes == 8192 && cfg.Ways == 1:
-		return 2
-	case cfg.SizeBytes == 4096 && cfg.Ways == 2:
-		return 3
-	case cfg.SizeBytes == 4096 && cfg.Ways == 1:
-		return 4
-	default:
-		return 5
-	}
+// The configure register's three 2-bit fields index FourBank()'s value
+// lists — size largest first, line and associativity smallest first — and
+// the same codes select the constant registers: StaticEnergy by size,
+// MissEnergy by line, HitEnergy by size and associativity.
+
+// fieldValues returns the value lists the register fields index.
+func fieldValues() (sizes, lines, ways []int) {
+	g := cache.FourBank()
+	sizes = g.SizeValues()
+	slices.Reverse(sizes)
+	return sizes, g.LineValues(), g.AssocValues()
 }
 
-func lineIndex(cfg cache.Config) int {
-	switch cfg.LineBytes {
-	case 16:
-		return 0
-	case 32:
-		return 1
-	default:
-		return 2
+// hitRegister is the hit-energy register for a size code and an
+// associativity code. The registers list the realisable pairs largest size
+// first, then most ways first (8K 4/2/1-way, 4K 2/1-way, 2K 1-way): of n
+// sizes, size code s realises the n-s smallest associativities.
+func hitRegister(size, ways int) int {
+	n := len(cache.FourBank().SizeValues())
+	r := 0
+	for s := 0; s < size; s++ {
+		r += n - s // the pairs of each larger size
 	}
+	return r + (n - size - 1) - ways // most ways first within the size
 }
 
-func sizeIndex(cfg cache.Config) int {
-	switch cfg.SizeBytes {
-	case 8192:
-		return 0
-	case 4096:
-		return 1
-	default:
-		return 2
+// PackConfig encodes a configuration into the 7-bit configure register:
+// 2 bits size, 2 bits line, 2 bits associativity, 1 bit prediction. A
+// configuration outside the four-bank space has no encoding.
+func PackConfig(cfg cache.Config) (uint8, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, fmt.Errorf("tuner: no configure-register code for %v: %w", cfg, err)
 	}
-}
-
-// PackConfig encodes a configuration into the 7-bit configure register.
-func PackConfig(cfg cache.Config) uint8 {
-	v := uint8(sizeIndex(cfg))<<5 | uint8(lineIndex(cfg))<<3
-	switch cfg.Ways {
-	case 2:
-		v |= 1 << 1
-	case 4:
-		v |= 2 << 1
-	}
+	sizes, lines, ways := fieldValues()
+	v := uint8(slices.Index(sizes, cfg.SizeBytes))<<5 |
+		uint8(slices.Index(lines, cfg.LineBytes))<<3 |
+		uint8(slices.Index(ways, cfg.Ways))<<1
 	if cfg.WayPredict {
 		v |= 1
 	}
-	return v
+	return v, nil
 }
 
-// UnpackConfig decodes the configure register.
-func UnpackConfig(v uint8) cache.Config {
-	var cfg cache.Config
-	switch v >> 5 & 3 {
-	case 0:
-		cfg.SizeBytes = 8192
-	case 1:
-		cfg.SizeBytes = 4096
-	default:
-		cfg.SizeBytes = 2048
+// UnpackConfig decodes the configure register. A code whose fields name no
+// value, or name a configuration the banks cannot realise, is rejected.
+func UnpackConfig(v uint8) (cache.Config, error) {
+	sizes, lines, ways := fieldValues()
+	s, l, w := int(v>>5&3), int(v>>3&3), int(v>>1&3)
+	if v>>7 != 0 || s >= len(sizes) || l >= len(lines) || w >= len(ways) {
+		return cache.Config{}, fmt.Errorf("tuner: configure register %07b names no configuration", v)
 	}
-	switch v >> 3 & 3 {
-	case 0:
-		cfg.LineBytes = 16
-	case 1:
-		cfg.LineBytes = 32
-	default:
-		cfg.LineBytes = 64
+	cfg := cache.Config{SizeBytes: sizes[s], LineBytes: lines[l], Ways: ways[w], WayPredict: v&1 != 0}
+	if err := cfg.Validate(); err != nil {
+		return cache.Config{}, fmt.Errorf("tuner: configure register %07b: %w", v, err)
 	}
-	switch v >> 1 & 3 {
-	case 1:
-		cfg.Ways = 2
-	case 2:
-		cfg.Ways = 4
-	default:
-		cfg.Ways = 1
-	}
-	cfg.WayPredict = v&1 != 0
-	return cfg
+	return cfg, nil
 }
 
 // FSMD is the cycle-level tuner hardware model.
@@ -171,21 +145,17 @@ func NewFSMD(p *energy.Params) *FSMD {
 		}
 		return uint16(v + 0.5)
 	}
-	hit := p.HitTable()
-	f.Regs.HitEnergy[0] = toFixed(hit[energy.SizeAssoc{SizeBytes: 8192, Ways: 4}])
-	f.Regs.HitEnergy[1] = toFixed(hit[energy.SizeAssoc{SizeBytes: 8192, Ways: 2}])
-	f.Regs.HitEnergy[2] = toFixed(hit[energy.SizeAssoc{SizeBytes: 8192, Ways: 1}])
-	f.Regs.HitEnergy[3] = toFixed(hit[energy.SizeAssoc{SizeBytes: 4096, Ways: 2}])
-	f.Regs.HitEnergy[4] = toFixed(hit[energy.SizeAssoc{SizeBytes: 4096, Ways: 1}])
-	f.Regs.HitEnergy[5] = toFixed(hit[energy.SizeAssoc{SizeBytes: 2048, Ways: 1}])
-	miss := p.MissTable()
-	f.Regs.MissEnergy[0] = toFixed(miss[16])
-	f.Regs.MissEnergy[1] = toFixed(miss[32])
-	f.Regs.MissEnergy[2] = toFixed(miss[64])
-	static := p.StaticTable()
-	f.Regs.StaticEnergy[0] = toFixed(static[8192])
-	f.Regs.StaticEnergy[1] = toFixed(static[4096])
-	f.Regs.StaticEnergy[2] = toFixed(static[2048])
+	sizes, lines, ways := fieldValues()
+	hit, miss, static := p.HitTable(), p.MissTable(), p.StaticTable()
+	for s, size := range sizes {
+		for w := 0; w < len(sizes)-s; w++ {
+			f.Regs.HitEnergy[hitRegister(s, w)] = toFixed(hit[energy.SizeAssoc{SizeBytes: size, Ways: ways[w]}])
+		}
+		f.Regs.StaticEnergy[s] = toFixed(static[size])
+	}
+	for l, line := range lines {
+		f.Regs.MissEnergy[l] = toFixed(miss[line])
+	}
 	return f
 }
 
@@ -234,27 +204,29 @@ func MeasurementFromStats(cfg cache.Config, st cache.Stats, p *energy.Params) Me
 // EvaluateConfig runs the CSM for one configuration's measurement: three
 // sequential multiplications (hits x E_hit, misses x E_miss,
 // cycles x E_static) accumulated into the energy register, then the
-// comparison against the lowest register. Returns the fixed-point energy.
-func (f *FSMD) EvaluateConfig(cfg cache.Config, m Measurement) uint32 {
-	f.Regs.Hits, f.Regs.Misses, f.Regs.Cycles = m.Hits, m.Misses, m.Cycles
-	hitIdx := sizeAssocIndex(cfg)
-	if cfg.WayPredict && cfg.Ways > 1 {
+// comparison against the lowest register. Returns the fixed-point energy,
+// or PackConfig's error for a configuration outside the four-bank space.
+func (f *FSMD) EvaluateConfig(cfg cache.Config, m Measurement) (uint32, error) {
+	v, err := PackConfig(cfg)
+	if err != nil {
+		return 0, err
+	}
+	size, line, ways := int(v>>5&3), int(v>>3&3), int(v>>1&3)
+	if cfg.WayPredict {
 		// Way reads are priced at the one-way access energy of the
 		// current size (see MeasurementFromStats).
-		oneWay := cfg
-		oneWay.Ways = 1
-		oneWay.WayPredict = false
-		hitIdx = sizeAssocIndex(oneWay)
+		ways = 0
 	}
+	f.Regs.Hits, f.Regs.Misses, f.Regs.Cycles = m.Hits, m.Misses, m.Cycles
 	var acc uint32
 	// CSM C1..C3: one multiplier pass each.
-	acc = f.satMulAdd(acc, m.Hits, f.Regs.HitEnergy[hitIdx])
-	acc = f.satMulAdd(acc, m.Misses, f.Regs.MissEnergy[lineIndex(cfg)])
-	acc = f.satMulAdd(acc, m.Cycles, f.Regs.StaticEnergy[sizeIndex(cfg)])
+	acc = f.satMulAdd(acc, m.Hits, f.Regs.HitEnergy[hitRegister(size, ways)])
+	acc = f.satMulAdd(acc, m.Misses, f.Regs.MissEnergy[line])
+	acc = f.satMulAdd(acc, m.Cycles, f.Regs.StaticEnergy[size])
 	f.Regs.Energy = acc
 	f.TotalCycles += uint64(f.EvaluationCycles())
 	f.NumSearch++
-	return acc
+	return acc, nil
 }
 
 // EvaluationCycles is the cycle cost of evaluating one configuration: the
@@ -270,21 +242,29 @@ func ToJoules(v uint32) float64 { return float64(v) * FixedPointUnit }
 // Run walks the PSM/VSM over the heuristic's search using measure for each
 // window and returns the selected configuration. It mirrors Search with the
 // PaperOrder but performs all energy arithmetic in the datapath's fixed
-// point, so its decisions are exactly what the hardware would take.
-func (f *FSMD) Run(measure MeasureFunc) cache.Config {
+// point, so its decisions are exactly what the hardware would take. The
+// search walks only four-bank configurations, which all have a code.
+func (f *FSMD) Run(measure MeasureFunc) (cache.Config, error) {
+	var err error
 	eval := EvaluatorFunc(func(cfg cache.Config) EvalResult {
-		e := f.EvaluateConfig(cfg, measure(cfg))
+		e, eerr := f.EvaluateConfig(cfg, measure(cfg))
+		if eerr != nil {
+			err = eerr
+			return EvalResult{Cfg: cfg, Energy: math.Inf(1)}
+		}
 		if f.Regs.Lowest == 0 || e < f.Regs.Lowest {
 			f.Regs.Lowest = e
-			f.Regs.Config = PackConfig(cfg)
 		}
 		return EvalResult{Cfg: cfg, Energy: ToJoules(e)}
 	})
 	res := Search(eval, PaperOrder)
+	if err != nil {
+		return cache.Config{}, err
+	}
 	// The PSM's final state drives the configure register with the best
 	// configuration seen.
-	f.Regs.Config = PackConfig(res.Best.Cfg)
-	return res.Best.Cfg
+	f.Regs.Config, err = PackConfig(res.Best.Cfg)
+	return res.Best.Cfg, err
 }
 
 // String summarises datapath state.

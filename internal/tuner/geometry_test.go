@@ -22,7 +22,7 @@ func TestGeometrySpaceMatchesDefaultOnFourBank(t *testing.T) {
 	p := energy.DefaultParams()
 	for _, name := range []string{"crc", "jpeg", "mpeg2"} {
 		prof, _ := workload.ByName(name)
-		inst, data := trace.Split(trace.NewSliceSource(prof.Generate(100_000)))
+		inst, data := trace.Split(prof.Generate(100_000))
 		for _, stream := range [][]trace.Access{inst, data} {
 			ev := NewTraceEvaluator(stream, p)
 			a := Search(ev, PaperOrder)
@@ -41,7 +41,7 @@ func TestGeometryModelAgreesWithTraceEvaluator(t *testing.T) {
 	// behaviour, same pricing).
 	p := energy.DefaultParams()
 	prof, _ := workload.ByName("g3fax")
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(80_000)))
+	data := trace.OnlyData(prof.Generate(80_000))
 	a := NewTraceEvaluator(data, p)
 	b := EngineEvaluator{Eng: engine.New(data, engine.Scalable(cache.FourBank(), p))}
 	for _, cfg := range cache.AllConfigs() {
@@ -86,7 +86,7 @@ func TestHeuristicScalesToLargerCaches(t *testing.T) {
 	streams := 0
 	for _, prof := range workload.Profiles() {
 		accs := prof.Generate(100_000)
-		inst, data := trace.Split(trace.NewSliceSource(accs))
+		inst, data := trace.Split(accs)
 		for i, stream := range [][]trace.Access{inst, data} {
 			streams++
 			name := prof.Name + " " + "ID"[i:i+1]

@@ -15,8 +15,24 @@ func dataStream(t *testing.T, name string, n int) []trace.Access {
 	if !ok {
 		t.Fatalf("no profile %q", name)
 	}
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
-	return data
+	return trace.OnlyData(prof.Generate(n))
+}
+
+// streamPrefix returns the first n accesses of the named profile's data
+// stream, or of its instruction stream when inst is set. Every generator
+// step emits DataPerStep data references and InstPerStep fetches, so whole
+// steps are generated until the chosen side holds n.
+func streamPrefix(t *testing.T, name string, n int, inst bool) []trace.Access {
+	t.Helper()
+	prof, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("no profile %q", name)
+	}
+	per, keep := prof.DataPerStep, trace.OnlyData
+	if inst {
+		per, keep = prof.InstPerStep, trace.OnlyInst
+	}
+	return keep(prof.Generate((n/per + 1) * (prof.InstPerStep + prof.DataPerStep)))[:n]
 }
 
 func TestEnergyObjectiveMatchesSearchPaper(t *testing.T) {

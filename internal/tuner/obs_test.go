@@ -18,7 +18,7 @@ func obsStream(t *testing.T, n int) []trace.Access {
 	if !ok {
 		prof = workload.Profiles()[0]
 	}
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
+	data := trace.OnlyData(prof.Generate(n))
 	if len(data) == 0 {
 		t.Fatal("no data stream")
 	}

@@ -5,8 +5,6 @@ import (
 
 	"selftune/internal/cache"
 	"selftune/internal/energy"
-	"selftune/internal/trace"
-	"selftune/internal/workload"
 )
 
 // TestOnlineSettleWritebackAccounting audits the session's settle-writeback
@@ -17,7 +15,6 @@ import (
 // disagreement means the session mis-attributed or dropped a shrink charge.
 func TestOnlineSettleWritebackAccounting(t *testing.T) {
 	for _, name := range []string{"blit", "crc", "fir"} {
-		prof, _ := workload.ByName(name)
 		c := cache.MustConfigurable(cache.MinConfig())
 		mirror := cache.MustConfigurable(cache.MinConfig())
 		sync := func() {
@@ -31,9 +28,10 @@ func TestOnlineSettleWritebackAccounting(t *testing.T) {
 		}
 		o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000})
 		sync() // the session may reconfigure at construction
-		src := trace.OnlyData(prof.NewSource())
-		for i := 0; i < 500_000 && !o.Done(); i++ {
-			a, _ := src.Next()
+		for _, a := range streamPrefix(t, name, 500_000, false) {
+			if o.Done() {
+				break
+			}
 			o.Access(a.Addr, a.IsWrite())
 			mirror.Access(a.Addr, a.IsWrite())
 			sync()
@@ -51,12 +49,10 @@ func TestOnlineSettleWritebackAccounting(t *testing.T) {
 // Abort the cache is a plain cache, so no further shrink can happen and the
 // settle-writeback counter must freeze at its abort-time value.
 func TestOnlineAbortSettleWritebacksStopAccumulating(t *testing.T) {
-	prof, _ := workload.ByName("blit")
 	c := cache.MustConfigurable(cache.MinConfig())
 	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000})
-	src := trace.OnlyData(prof.NewSource())
-	for i := 0; i < 9000; i++ {
-		a, _ := src.Next()
+	data := streamPrefix(t, "blit", 9000+50_000, false)
+	for _, a := range data[:9000] {
 		o.Access(a.Addr, a.IsWrite())
 	}
 	if o.Done() {
@@ -64,8 +60,7 @@ func TestOnlineAbortSettleWritebacksStopAccumulating(t *testing.T) {
 	}
 	o.Abort()
 	frozen := o.SettleWritebacks()
-	for i := 0; i < 50_000; i++ {
-		a, _ := src.Next()
+	for _, a := range data[9000:] {
 		o.Access(a.Addr, a.IsWrite())
 	}
 	if got := o.SettleWritebacks(); got != frozen {
@@ -78,7 +73,6 @@ func TestOnlineAbortSettleWritebacksStopAccumulating(t *testing.T) {
 // than from its first reading: the Degraded flag must still propagate
 // through Result and the cache must settle on SafeConfig.
 func TestOnlineDegradesMidSession(t *testing.T) {
-	prof, _ := workload.ByName("crc")
 	c := cache.MustConfigurable(cache.MinConfig())
 	windows := 0
 	wedgeLater := func(cfg cache.Config, st cache.Stats) cache.Stats {
@@ -92,9 +86,10 @@ func TestOnlineDegradesMidSession(t *testing.T) {
 	if o.Degraded() {
 		t.Fatal("Degraded reported before the session finished")
 	}
-	src := trace.OnlyData(prof.NewSource())
-	for i := 0; i < 500_000 && !o.Done(); i++ {
-		a, _ := src.Next()
+	for _, a := range streamPrefix(t, "crc", 500_000, false) {
+		if o.Done() {
+			break
+		}
 		o.Access(a.Addr, a.IsWrite())
 	}
 	if !o.Done() {
@@ -117,12 +112,12 @@ func TestOnlineDegradesMidSession(t *testing.T) {
 // state.
 func TestOnlineDoubleAbort(t *testing.T) {
 	// Mid-session: the first Abort aborts, the rest are no-ops.
-	prof, _ := workload.ByName("fir")
 	c := cache.MustConfigurable(cache.MinConfig())
 	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 5000})
-	src := trace.OnlyData(prof.NewSource())
-	for i := 0; i < 7000 && !o.Done(); i++ {
-		a, _ := src.Next()
+	for _, a := range streamPrefix(t, "fir", 7000, false) {
+		if o.Done() {
+			break
+		}
 		o.Access(a.Addr, a.IsWrite())
 	}
 	for i := 0; i < 3; i++ {

@@ -18,9 +18,10 @@ func runOnline(t *testing.T, name string, window uint64, budget int) (*Online, *
 	}
 	c := cache.MustConfigurable(cache.MinConfig())
 	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: window})
-	src := trace.OnlyData(prof.NewSource())
-	for i := 0; i < budget && !o.Done(); i++ {
-		a, _ := src.Next()
+	for _, a := range streamPrefix(t, name, budget, false) {
+		if o.Done() {
+			break
+		}
 		o.Access(a.Addr, a.IsWrite())
 	}
 	return o, prof
@@ -54,12 +55,12 @@ func TestOnlineNeverFullFlushes(t *testing.T) {
 }
 
 func TestOnlineInstructionStreamNeedsNoWritebacks(t *testing.T) {
-	prof, _ := workload.ByName("g721")
 	c := cache.MustConfigurable(cache.MinConfig())
 	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000})
-	src := trace.OnlyInst(prof.NewSource())
-	for i := 0; i < 500_000 && !o.Done(); i++ {
-		a, _ := src.Next()
+	for _, a := range streamPrefix(t, "g721", 500_000, true) {
+		if o.Done() {
+			break
+		}
 		o.Access(a.Addr, false)
 	}
 	if !o.Done() {
@@ -80,7 +81,7 @@ func TestOnlineChoiceIsNearOfflineQuality(t *testing.T) {
 		p := energy.DefaultParams()
 
 		steady := prof.Generate(1_200_000)[prof.InitAccesses:]
-		_, data := trace.Split(trace.NewSliceSource(steady))
+		data := trace.OnlyData(steady)
 		ev := NewTraceEvaluator(data, p)
 		offline := SearchPaper(ev)
 
@@ -120,12 +121,10 @@ func TestOnlineReconfigurationCountMatchesExamined(t *testing.T) {
 }
 
 func TestOnlineAbort(t *testing.T) {
-	prof, _ := workload.ByName("fir")
 	c := cache.MustConfigurable(cache.MinConfig())
 	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 5000})
-	src := trace.OnlyData(prof.NewSource())
-	for i := 0; i < 7000; i++ { // mid-session
-		a, _ := src.Next()
+	data := streamPrefix(t, "fir", 7000+5000, false)
+	for _, a := range data[:7000] { // mid-session
 		o.Access(a.Addr, a.IsWrite())
 	}
 	if o.Done() {
@@ -137,8 +136,7 @@ func TestOnlineAbort(t *testing.T) {
 	}
 	// The cache keeps working as a plain cache.
 	cfg := o.Cache().Config()
-	for i := 0; i < 5000; i++ {
-		a, _ := src.Next()
+	for _, a := range data[7000:] {
 		o.Access(a.Addr, a.IsWrite())
 	}
 	if o.Cache().Config() != cfg {

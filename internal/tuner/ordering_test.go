@@ -46,7 +46,7 @@ func TestOrderingTournament(t *testing.T) {
 	profiles := workload.Profiles()
 	perProfile := engine.Parallel(len(profiles), 0, func(i int) []stream {
 		accs := profiles[i].Generate(100_000)
-		inst, data := trace.Split(trace.NewSliceSource(accs))
+		inst, data := trace.Split(accs)
 		var out []stream
 		for _, s := range [][]trace.Access{inst, data} {
 			ev := NewTraceEvaluator(s, p)

@@ -20,7 +20,7 @@ func dataTrace(t *testing.T, name string, n int) []trace.Access {
 	if !ok {
 		t.Fatalf("unknown profile %q", name)
 	}
-	_, data := trace.Split(trace.NewSliceSource(prof.Generate(n)))
+	data := trace.OnlyData(prof.Generate(n))
 	return data
 }
 
@@ -67,14 +67,13 @@ func TestPlausible(t *testing.T) {
 // cache on SafeConfig, and keeps serving accesses — no panic, no wedged
 // session.
 func TestOnlineDegradesGracefullyUnderStuckCounters(t *testing.T) {
-	prof, _ := workload.ByName("crc")
 	c := cache.MustConfigurable(cache.MinConfig())
 	stuck := func(cache.Config, cache.Stats) cache.Stats { return cache.Stats{} }
 	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 5000, Meter: stuck})
-	src := trace.OnlyData(prof.NewSource())
-	for i := 0; i < 200_000 && !o.Done(); i++ {
-		a, _ := src.Next()
-		o.Access(a.Addr, a.IsWrite())
+	data := streamPrefix(t, "crc", 200_000+20_000, false)
+	i := 0
+	for ; i < 200_000 && !o.Done(); i++ {
+		o.Access(data[i].Addr, data[i].IsWrite())
 	}
 	if !o.Done() {
 		t.Fatal("session did not settle under stuck counters")
@@ -93,8 +92,7 @@ func TestOnlineDegradesGracefullyUnderStuckCounters(t *testing.T) {
 		t.Errorf("live cache is at %v, want SafeConfig %v", o.Cache().Config(), SafeConfig())
 	}
 	// The cache must keep working as a plain cache after degradation.
-	for i := 0; i < 20_000; i++ {
-		a, _ := src.Next()
+	for _, a := range data[i : i+20_000] {
 		o.Access(a.Addr, a.IsWrite())
 	}
 	if o.Cache().Config() != SafeConfig() {
@@ -106,7 +104,6 @@ func TestOnlineDegradesGracefullyUnderStuckCounters(t *testing.T) {
 // policy: a single glitched window is re-measured over the next window and
 // the session completes without degrading.
 func TestOnlineMeterTransientFaultRemeasures(t *testing.T) {
-	prof, _ := workload.ByName("crc")
 	c := cache.MustConfigurable(cache.MinConfig())
 	windows := 0
 	glitchOnce := func(cfg cache.Config, st cache.Stats) cache.Stats {
@@ -117,9 +114,10 @@ func TestOnlineMeterTransientFaultRemeasures(t *testing.T) {
 		return st
 	}
 	o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 5000, Meter: glitchOnce})
-	src := trace.OnlyData(prof.NewSource())
-	for i := 0; i < 500_000 && !o.Done(); i++ {
-		a, _ := src.Next()
+	for _, a := range streamPrefix(t, "crc", 500_000, false) {
+		if o.Done() {
+			break
+		}
 		o.Access(a.Addr, a.IsWrite())
 	}
 	if !o.Done() {
@@ -137,12 +135,12 @@ func TestOnlineMeterTransientFaultRemeasures(t *testing.T) {
 // observation point: an identity meter yields a bit-identical session.
 func TestOnlineIdentityMeterChangesNothing(t *testing.T) {
 	run := func(meter Meter) SearchResult {
-		prof, _ := workload.ByName("adpcm")
 		c := cache.MustConfigurable(cache.MinConfig())
 		o := NewOnline(c, energy.DefaultParams(), OnlineOptions{Window: 4000, Meter: meter})
-		src := trace.OnlyData(prof.NewSource())
-		for i := 0; i < 500_000 && !o.Done(); i++ {
-			a, _ := src.Next()
+		for _, a := range streamPrefix(t, "adpcm", 500_000, false) {
+			if o.Done() {
+				break
+			}
 			o.Access(a.Addr, a.IsWrite())
 		}
 		if !o.Done() {

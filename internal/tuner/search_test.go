@@ -127,7 +127,7 @@ func TestHeuristicNearOptimalOnProfiles(t *testing.T) {
 	misses := 0
 	for _, prof := range workload.Profiles() {
 		accs := prof.Generate(150_000)
-		inst, data := trace.Split(trace.NewSliceSource(accs))
+		inst, data := trace.Split(accs)
 		for _, stream := range [][]trace.Access{inst, data} {
 			ev := NewTraceEvaluator(stream, p)
 			h := SearchPaper(ev)
@@ -159,7 +159,7 @@ func TestAlternativeOrderIsWorse(t *testing.T) {
 	paperMisses, altMisses := 0, 0
 	for _, prof := range workload.Profiles() {
 		accs := prof.Generate(120_000)
-		inst, data := trace.Split(trace.NewSliceSource(accs))
+		inst, data := trace.Split(accs)
 		for _, stream := range [][]trace.Access{inst, data} {
 			ev := NewTraceEvaluator(stream, p)
 			opt := Exhaustive(ev).Best.Cfg
@@ -186,7 +186,7 @@ func TestSearchAverageExaminedMatchesPaperScale(t *testing.T) {
 	n := 0
 	for _, prof := range workload.Profiles() {
 		accs := prof.Generate(100_000)
-		inst, data := trace.Split(trace.NewSliceSource(accs))
+		inst, data := trace.Split(accs)
 		for _, stream := range [][]trace.Access{inst, data} {
 			total += SearchPaper(NewTraceEvaluator(stream, p)).NumExamined()
 			n++

@@ -119,9 +119,6 @@ type generator struct {
 	burst   int          // steps left in current region
 	curArr  int          // current data array (sticky until its run ends)
 	emitted int          // total accesses emitted (drives the init phase)
-
-	buf []trace.Access
-	pos int
 }
 
 // data returns the active data spec and state for the current phase.
@@ -145,11 +142,7 @@ func (p *Profile) newGenerator() *generator {
 	}
 }
 
-// NewSource returns a Source yielding the profile's stream indefinitely;
-// use Generate for a fixed length.
-func (p *Profile) NewSource() trace.Source { return p.newGenerator() }
-
-// Generate produces exactly n accesses, the first n NewSource yields. It
+// Generate produces the first n accesses of the profile's stream. It
 // appends whole steps to one slice sized for n plus one step's overhang
 // and cuts the overhang off.
 func (p *Profile) Generate(n int) []trace.Access {
@@ -163,24 +156,12 @@ func (p *Profile) Generate(n int) []trace.Access {
 	g := p.newGenerator()
 	out := make([]trace.Access, 0, n+step)
 	for len(out) < n {
-		// As in Next, the phase a step draws from is fixed by the
-		// accesses before it.
+		// The phase a step draws from is fixed by the accesses before
+		// it.
 		g.emitted = len(out)
 		out = g.step(out)
 	}
 	return out[:n:n]
-}
-
-// Next implements trace.Source (never exhausts).
-func (g *generator) Next() (trace.Access, bool) {
-	if g.pos >= len(g.buf) {
-		g.buf = g.step(g.buf[:0])
-		g.pos = 0
-	}
-	a := g.buf[g.pos]
-	g.pos++
-	g.emitted++
-	return a, true
 }
 
 // step emits one loop iteration: InstPerStep fetches from the current code

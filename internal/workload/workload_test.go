@@ -124,9 +124,6 @@ func TestGenerateDeterministic(t *testing.T) {
 		if want, ok := generatePins[p.Name]; !ok || got != want {
 			t.Errorf("%s: digests (stream, encoding) = %q, want %q", p.Name, got, want)
 		}
-		if src := trace.Collect(p.NewSource(), pinLen); !slices.Equal(accs, src) {
-			t.Fatalf("%s: Generate(%d) differs from the first %d accesses of NewSource", p.Name, pinLen, pinLen)
-		}
 		// Every shorter stream is a prefix of the longer one.
 		for _, n := range []int{0, 1, 149, p.InitAccesses - 1, p.InitAccesses, p.InitAccesses + 1} {
 			if n < 0 {
