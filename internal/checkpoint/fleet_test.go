@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -113,6 +115,48 @@ func TestFleetStateRoundTrip(t *testing.T) {
 	}
 	if got.Assignments["a"] != 2048 || len(got.Pending) != 0 {
 		t.Fatalf("overwritten LoadState = %+v", got)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/fleet-state.golden with current output")
+
+// TestFleetStateGolden pins fleet-state.json byte for byte: a restarted
+// fleet must read the state an older build wrote, so the encoding of the
+// assignments, the pending queue and two miss-ratio-curve profiles may not
+// drift.
+func TestFleetStateGolden(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenFleetStore(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &FleetState{
+		Assignments: map[string]int{"a": 6144, "b": 2048},
+		Pending:     []string{"c"},
+		Profiles: []FleetProfile{
+			{ID: "a", Weight: 1000, Points: []MRCPoint{{Bytes: 2048, MissRate: 0.25}, {Bytes: 4096, MissRate: 0.125}, {Bytes: 8192, MissRate: 0.1}}},
+			{ID: "b", Weight: 987.5, Points: []MRCPoint{{Bytes: 2048, MissRate: 0.03125}, {Bytes: 8192, MissRate: 0}}},
+		},
+	}
+	if err := fs.SaveState(st); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "fleet-state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "fleet-state.golden")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fleet-state.json drifted from %s:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
 
