@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLiveKernelVsReference -fuzztime=$(FUZZTIME) ./internal/fastsim/
 	$(GO) test -run='^$$' -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) ./internal/fleet/
 	$(GO) test -run='^$$' -fuzz=FuzzChaosnetFraming -fuzztime=$(FUZZTIME) ./internal/fleet/
+	$(GO) test -run='^$$' -fuzz=FuzzDPVsBruteForce -fuzztime=$(FUZZTIME) ./internal/fleet/allocator/
 	$(GO) test -run='^$$' -fuzz=FuzzSearchMachine -fuzztime=$(FUZZTIME) ./internal/tuner/
 
 # Run every program under examples/; the first non-zero exit fails the target.

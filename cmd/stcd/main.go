@@ -17,11 +17,12 @@
 // checkpoint, discarding the re-streamed prefix. SIGINT/SIGTERM stop
 // accepting, drain live connections, persist every session and print the
 // fleet shutdown report. -alloc-budget partitions a shared byte budget
-// across tenants by their measured miss-ratio curves; the plan is advisory
-// unless -enforce makes it binding, when sessions search only within their
-// budget and opens it cannot fit park in a FIFO queue (-pending-queue) or
-// are rejected with an error frame. -read-timeout closes stalled
-// connections.
+// across the live tenants, in bank-sized units, by the exact allocator over
+// their measured miss-ratio curves. Without -enforce the plan is advisory:
+// it is the plan enforcement would apply, reported but not imposed. With
+// -enforce sessions search only within their budget, and opens it cannot
+// fit park in a FIFO queue (-pending-queue) or are rejected with an error
+// frame. -read-timeout closes stalled connections.
 //
 // Client mode (-connect) streams one source into a serving stcd as session
 // -session, reconnecting and re-streaming on failure; -trace-tag rides in
@@ -82,9 +83,6 @@ func run(args []string, stdout io.Writer) error {
 	watchdog := fl.Uint64("watchdog", 64, "abort a session that has not settled after this many windows")
 
 	allocBudget := fl.Int("alloc-budget", 0, "shared capacity budget in bytes partitioned across sessions (0 disables the allocator)")
-	allocUnit := fl.Int("alloc-unit", 2048, "allocation granularity in bytes")
-	allocEvery := fl.Int("alloc-every", 1, "re-run the allocation after this many fresh session profiles")
-	allocDP := fl.Bool("alloc-dp", false, "use the exact DP allocator instead of greedy marginal gain")
 	enforce := fl.Bool("enforce", false, "make the allocation binding: sessions search only within their assigned budget, and opens past the budget park or reject (requires -alloc-budget)")
 	pendingQueue := fl.Int("pending-queue", 4, "enforced mode: over-budget opens park in a FIFO queue this deep until capacity frees; negative rejects immediately")
 	readTimeout := fl.Duration("read-timeout", 0, "close an ingest connection idle for this long (0 disables)")
@@ -156,6 +154,7 @@ func run(args []string, stdout io.Writer) error {
 	sopts := daemon.Options{
 		Window:          *window,
 		CheckpointEvery: *every,
+		Keep:            *keep,
 		PhaseThreshold:  *phase,
 		WatchdogWindows: *watchdog,
 	}
@@ -164,7 +163,7 @@ func run(args []string, stdout io.Writer) error {
 	defer stop()
 
 	if !*serve {
-		sopts.Dir, sopts.Keep, sopts.Rec, sopts.Reg = *dir, *keep, tel.rec, tel.reg
+		sopts.Dir, sopts.Rec, sopts.Reg = *dir, tel.rec, tel.reg
 		return local(ctx, tel, sopts, accs, *obsWait)
 	}
 	return serveFleet(ctx, tel, *addr, *shutdownTimeout, fleet.Options{
@@ -172,14 +171,10 @@ func run(args []string, stdout io.Writer) error {
 		QueueDepth:       *queueDepth,
 		Shed:             *shed,
 		Dir:              *dir,
-		Keep:             *keep,
 		Rec:              tel.rec,
 		Reg:              tel.reg,
 		Session:          sopts,
 		AllocBudgetBytes: *allocBudget,
-		AllocUnit:        *allocUnit,
-		AllocEvery:       *allocEvery,
-		AllocDP:          *allocDP,
 		EnforceBudget:    *enforce,
 		PendingQueue:     *pendingQueue,
 		ReadTimeout:      *readTimeout,

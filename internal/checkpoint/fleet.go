@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"selftune/internal/fleet/allocator"
 )
 
 // FleetStore namespaces many sessions' checkpoint generations under one
@@ -138,21 +140,7 @@ type FleetState struct {
 	Pending []string `json:",omitempty"`
 	// Profiles are the per-session miss-ratio curves captured from settled
 	// searches, sorted by ID.
-	Profiles []FleetProfile `json:",omitempty"`
-}
-
-// FleetProfile is one session's miss-ratio curve in durable form (mirrors
-// allocator.Profile without importing it).
-type FleetProfile struct {
-	ID     string
-	Weight float64
-	Points []MRCPoint
-}
-
-// MRCPoint is one measured point of a durable miss-ratio curve.
-type MRCPoint struct {
-	Bytes    int
-	MissRate float64
+	Profiles []allocator.Profile `json:",omitempty"`
 }
 
 const fleetStateVersion = 1

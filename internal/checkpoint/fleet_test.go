@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"selftune/internal/fleet/allocator"
 )
 
 func TestFleetStoreNamespacesSessions(t *testing.T) {
@@ -78,8 +80,8 @@ func TestFleetStateRoundTrip(t *testing.T) {
 	want := &FleetState{
 		Assignments: map[string]int{"a": 8192, "b": 4096},
 		Pending:     []string{"d", "c"}, // FIFO order, not sorted
-		Profiles: []FleetProfile{
-			{ID: "a", Weight: 10_000, Points: []MRCPoint{{Bytes: 2048, MissRate: 0.4}, {Bytes: 8192, MissRate: 0.1}}},
+		Profiles: []allocator.Profile{
+			{ID: "a", Weight: 10_000, Points: []allocator.Point{{Bytes: 2048, MissRate: 0.4}, {Bytes: 8192, MissRate: 0.1}}},
 		},
 	}
 	if err := fs.SaveState(want); err != nil {
@@ -133,9 +135,9 @@ func TestFleetStateGolden(t *testing.T) {
 	st := &FleetState{
 		Assignments: map[string]int{"a": 6144, "b": 2048},
 		Pending:     []string{"c"},
-		Profiles: []FleetProfile{
-			{ID: "a", Weight: 1000, Points: []MRCPoint{{Bytes: 2048, MissRate: 0.25}, {Bytes: 4096, MissRate: 0.125}, {Bytes: 8192, MissRate: 0.1}}},
-			{ID: "b", Weight: 987.5, Points: []MRCPoint{{Bytes: 2048, MissRate: 0.03125}, {Bytes: 8192, MissRate: 0}}},
+		Profiles: []allocator.Profile{
+			{ID: "a", Weight: 1000, Points: []allocator.Point{{Bytes: 2048, MissRate: 0.25}, {Bytes: 4096, MissRate: 0.125}, {Bytes: 8192, MissRate: 0.1}}},
+			{ID: "b", Weight: 987.5, Points: []allocator.Point{{Bytes: 2048, MissRate: 0.03125}, {Bytes: 8192, MissRate: 0}}},
 		},
 	}
 	if err := fs.SaveState(st); err != nil {

@@ -39,8 +39,6 @@ type FleetABOptions struct {
 	BudgetBytes int
 	// Shards is the fleet worker count. Default 2.
 	Shards int
-	// DP selects the exact allocator over greedy.
-	DP bool
 }
 
 // FleetABResult is the two shutdown reports side by side.
@@ -124,7 +122,6 @@ func openFleet(opt FleetABOptions, enforce bool, dir string, pinned map[string]i
 		Dir:              dir,
 		Session:          daemon.Options{Window: opt.Window},
 		AllocBudgetBytes: opt.BudgetBytes,
-		AllocDP:          opt.DP,
 		EnforceBudget:    enforce,
 		Assignments:      pinned,
 	})

@@ -3,16 +3,15 @@
 // face of the paper's single-cache tuning. Each session's completed search
 // already measured miss rates at several cache sizes (the heuristic's size
 // sweep); those measurements, taken as a piecewise-linear miss-ratio curve,
-// let the fleet ask "where does the next bank of capacity save the most
-// misses?" across tenants instead of within one. Greedy answers it
-// hill-climbing one allocation unit at a time; DP solves the grouped
-// knapsack exactly. Both are deterministic: ties break toward the
-// lexicographically smallest session ID, and DP prefers smaller sizes among
-// equal-miss plans.
+// let the fleet ask "which split of the budget saves the most misses?"
+// across tenants instead of within one. DP answers it exactly as a grouped
+// knapsack, so it can buy a unit that saves nothing on its own to reach a
+// cliff behind it. It is deterministic: ties break toward smaller
+// capacities, then toward the lexicographically smallest session ID.
 //
 // The shape follows DeepRec's CacheTuningStrategy (InterpolateMRC plus
-// MinimalizeMissCount greedy/DP over per-cache MRC profiles), applied to
-// the configurable cache's size axis.
+// MinimalizeMissCount DP over per-cache MRC profiles), applied to the
+// configurable cache's size axis.
 package allocator
 
 import (
@@ -119,8 +118,8 @@ type Plan struct {
 	// Assignments is sorted by session ID; every session holds at least
 	// its profile's minimum capacity.
 	Assignments []Assignment
-	// AssignedBytes is the capacity handed out (Greedy stops early when
-	// no session's curve improves, so it can be under TotalBytes).
+	// AssignedBytes is the capacity handed out (DP leaves units unassigned
+	// when no curve improves with them, so it can be under TotalBytes).
 	AssignedBytes int
 	// TotalMisses is the plan's expected miss count per window.
 	TotalMisses float64
@@ -164,49 +163,12 @@ func finish(total, unit int, profs []Profile, bytes []int) Plan {
 	return plan
 }
 
-// Greedy partitions total bytes across the profiles by marginal gain: every
-// session starts at its curve's minimum, and each further unit goes to the
-// session whose expected miss count drops the most for it (ties to the
-// smallest ID). It stops when no session improves — capacity that saves no
-// misses stays unassigned for the platform to use elsewhere. The output is
-// a pure function of the inputs.
-func Greedy(total, unit int, profiles []Profile) (Plan, error) {
-	profs, err := prep(total, unit, profiles)
-	if err != nil {
-		return Plan{}, err
-	}
-	bytes := make([]int, len(profs))
-	left := total
-	for i, p := range profs {
-		bytes[i] = p.MinBytes()
-		left -= bytes[i]
-	}
-	for left >= unit {
-		best, bestGain := -1, 0.0
-		for i, p := range profs {
-			if bytes[i]+unit > p.MaxBytes() {
-				continue
-			}
-			gain := p.Misses(bytes[i]) - p.Misses(bytes[i]+unit)
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			break
-		}
-		bytes[best] += unit
-		left -= unit
-	}
-	return finish(total, unit, profs, bytes), nil
-}
-
 // DP partitions total bytes optimally: it minimises the summed expected
 // miss count over all per-session capacities that are curve minima plus a
 // whole number of units (grouped knapsack over unit-granular budgets).
-// Among equal-miss plans it prefers smaller capacities. The output is a
-// pure function of the inputs, and its TotalMisses is never worse than
-// Greedy's.
+// Among equal-miss plans it hands out the fewest units, and among those it
+// gives the later sessions (by ID) the smaller capacities. The output is a
+// pure function of the inputs.
 func DP(total, unit int, profiles []Profile) (Plan, error) {
 	profs, err := prep(total, unit, profiles)
 	if err != nil {
@@ -214,11 +176,17 @@ func DP(total, unit int, profiles []Profile) (Plan, error) {
 	}
 	// Budget in units beyond the summed minima: session i's choice is
 	// minBytes[i] + k*unit for k in [0, maxK[i]].
-	minSum := 0
+	minSum, maxSum := 0, 0
 	for _, p := range profs {
 		minSum += p.MinBytes()
+		maxSum += (p.MaxBytes() - p.MinBytes()) / unit
 	}
+	// Units past every curve's end are unreachable, so the table stops at
+	// their sum however large the budget.
 	budget := (total - minSum) / unit
+	if budget > maxSum {
+		budget = maxSum
+	}
 	const inf = 1e308
 	// dp[b] after considering sessions [0..i): minimal misses using
 	// exactly b extra units; parent choice recorded per session.

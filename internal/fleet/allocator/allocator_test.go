@@ -95,48 +95,40 @@ func TestIdenticalProfilesTieBreakPinned(t *testing.T) {
 		{mk("a"), mk("b")},
 		{mk("b"), mk("a")},
 	} {
-		g, err := Greedy(2048*3, 2048, order)
+		plan, err := DP(2048*3, 2048, order)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := DP(2048*3, 2048, order)
-		if err != nil {
-			t.Fatal(err)
+		if got := plan.Assignments[0]; got.ID != "a" || got.Bytes != 4096 {
+			t.Fatalf("identical-profile tie went to %v, want a=4096", got)
 		}
-		for name, plan := range map[string]Plan{"greedy": g, "dp": d} {
-			if got := plan.Assignments[0]; got.ID != "a" || got.Bytes != 4096 {
-				t.Fatalf("%s: identical-profile tie went to %v, want a=4096", name, got)
-			}
-			if got := plan.Assignments[1]; got.ID != "b" || got.Bytes != 2048 {
-				t.Fatalf("%s: identical-profile tie left %v, want b=2048", name, got)
-			}
+		if got := plan.Assignments[1]; got.ID != "b" || got.Bytes != 2048 {
+			t.Fatalf("identical-profile tie left %v, want b=2048", got)
 		}
 	}
 }
 
 func TestSingleSessionBudgetEqualsMinimum(t *testing.T) {
 	// The degenerate admission boundary: exactly one session, budget exactly
-	// its curve's minimum footprint. Both planners must accept and assign
-	// precisely the minimum.
+	// its curve's minimum footprint. DP must accept and assign precisely the
+	// minimum.
 	p := curve("solo", 10_000, 2048, 0.4, 8192, 0.1)
-	for name, plan := range map[string]func(int, int, []Profile) (Plan, error){"greedy": Greedy, "dp": DP} {
-		got, err := plan(2048, 2048, []Profile{p})
-		if err != nil {
-			t.Fatalf("%s: budget==minimum rejected: %v", name, err)
-		}
-		if len(got.Assignments) != 1 || got.Assignments[0].Bytes != 2048 || got.AssignedBytes != 2048 {
-			t.Fatalf("%s: plan = %+v, want exactly the 2048 B minimum", name, got)
-		}
+	got, err := DP(2048, 2048, []Profile{p})
+	if err != nil {
+		t.Fatalf("budget==minimum rejected: %v", err)
+	}
+	if len(got.Assignments) != 1 || got.Assignments[0].Bytes != 2048 || got.AssignedBytes != 2048 {
+		t.Fatalf("plan = %+v, want exactly the 2048 B minimum", got)
 	}
 }
 
-func TestGreedyHandComputed(t *testing.T) {
+func TestDPHandComputed(t *testing.T) {
 	// a saves 1000 misses for its first extra 2048 B (steep curve), b saves
-	// 600, a's second segment saves 400. Budget of 3 extra units goes
-	// a, b, a.
+	// 600, a's second unit saves 200 (interpolated to 6144 B) and b's second
+	// 50. The best use of 3 extra units is a, a, b: 1800 + 1400 misses.
 	a := curve("a", 10_000, 2048, 0.30, 4096, 0.20, 8192, 0.16)
 	b := curve("b", 10_000, 2048, 0.20, 4096, 0.14, 8192, 0.13)
-	plan, err := Greedy(2048*2+2048*3, 2048, []Profile{b, a})
+	plan, err := DP(2048*2+2048*3, 2048, []Profile{b, a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +150,12 @@ func TestGreedyHandComputed(t *testing.T) {
 	}
 }
 
-func TestGreedyStopsWhenCurvesFlatten(t *testing.T) {
+func TestDPStopsWhenCurvesFlatten(t *testing.T) {
 	// Both curves are flat: no unit saves a miss, so the surplus budget
 	// stays unassigned.
 	a := curve("a", 10_000, 2048, 0.2, 8192, 0.2)
 	b := curve("b", 10_000, 2048, 0.1, 8192, 0.1)
-	plan, err := Greedy(1<<20, 2048, []Profile{a, b})
+	plan, err := DP(1<<20, 2048, []Profile{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,38 +164,32 @@ func TestGreedyStopsWhenCurvesFlatten(t *testing.T) {
 	}
 }
 
-func TestDPNeverWorseThanGreedy(t *testing.T) {
-	// Greedy's myopia: a's first unit gains slightly more than b's, but b's
-	// curve then falls off a cliff that a's does not. DP must match or beat
-	// greedy on every budget.
+func TestDPCrossesACliff(t *testing.T) {
+	// a's first unit saves slightly more than b's (1100 vs 1000 misses), but
+	// b's curve then falls off a cliff that a's does not. At 8192 B (two
+	// extra units) a marginal-gain hill climb spends its first unit on a and
+	// never reaches the cliff; DP gives both units to b: 5000 + 1000 misses
+	// against the climb's 3900 + 4000.
 	a := curve("a", 10_000, 2048, 0.50, 4096, 0.39, 6144, 0.38, 8192, 0.37)
 	b := curve("b", 10_000, 2048, 0.50, 4096, 0.40, 6144, 0.10, 8192, 0.05)
+	plan, err := DP(8192, 2048, []Profile{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Assignments[0].Bytes != 2048 || plan.Assignments[1].Bytes != 6144 {
+		t.Fatalf("DP plan %+v, want a=2048 and b=6144 (past the cliff)", plan.Assignments)
+	}
+	if math.Abs(plan.TotalMisses-6000) > 1e-9 {
+		t.Fatalf("TotalMisses = %g, want 6000", plan.TotalMisses)
+	}
 	for budget := 4096; budget <= 16384; budget += 2048 {
-		g, err := Greedy(budget, 2048, []Profile{a, b})
+		p, err := DP(budget, 2048, []Profile{a, b})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := DP(budget, 2048, []Profile{a, b})
-		if err != nil {
-			t.Fatal(err)
+		if p.AssignedBytes > budget {
+			t.Fatalf("budget %d overspent: %d", budget, p.AssignedBytes)
 		}
-		if d.TotalMisses > g.TotalMisses+1e-9 {
-			t.Fatalf("budget %d: DP %g misses > greedy %g", budget, d.TotalMisses, g.TotalMisses)
-		}
-		if d.AssignedBytes > budget || g.AssignedBytes > budget {
-			t.Fatalf("budget %d overspent: dp %d, greedy %d", budget, d.AssignedBytes, g.AssignedBytes)
-		}
-	}
-	// At 8192 B (2 extra units) greedy spends its first unit on a (1100
-	// misses saved vs b's 1000) and can never reach b's cliff at 6144 B;
-	// DP gives both units to b.
-	g, _ := Greedy(8192, 2048, []Profile{a, b})
-	d, _ := DP(8192, 2048, []Profile{a, b})
-	if !(d.TotalMisses < g.TotalMisses) {
-		t.Fatalf("expected DP (%g) to strictly beat greedy (%g) on the cliff curve", d.TotalMisses, g.TotalMisses)
-	}
-	if d.Assignments[1].Bytes != 6144 {
-		t.Fatalf("DP gave b %d B, want 6144 (past the cliff)", d.Assignments[1].Bytes)
 	}
 }
 
@@ -213,10 +199,6 @@ func TestAllocationDeterministic(t *testing.T) {
 		curve("a", 10_000, 2048, 0.4, 4096, 0.2, 8192, 0.15),
 		curve("b", 8_000, 2048, 0.25, 4096, 0.18, 8192, 0.12),
 	}
-	g1, err := Greedy(18432, 2048, profs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	d1, err := DP(18432, 2048, profs)
 	if err != nil {
 		t.Fatal(err)
@@ -224,47 +206,35 @@ func TestAllocationDeterministic(t *testing.T) {
 	// Shuffled input order must not change the plan.
 	shuffled := []Profile{profs[2], profs[0], profs[1]}
 	for i := 0; i < 5; i++ {
-		g2, err := Greedy(18432, 2048, shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
 		d2, err := DP(18432, 2048, shuffled)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(g1, g2) {
-			t.Fatalf("greedy not deterministic:\n%v\n%v", g1, g2)
 		}
 		if !reflect.DeepEqual(d1, d2) {
 			t.Fatalf("dp not deterministic:\n%v\n%v", d1, d2)
 		}
 	}
-	for _, plan := range []Plan{g1, d1} {
-		ids := []string{}
-		for _, a := range plan.Assignments {
-			ids = append(ids, a.ID)
-		}
-		if !reflect.DeepEqual(ids, []string{"a", "b", "c"}) {
-			t.Fatalf("assignments not sorted by ID: %v", ids)
-		}
+	ids := []string{}
+	for _, a := range d1.Assignments {
+		ids = append(ids, a.ID)
+	}
+	if !reflect.DeepEqual(ids, []string{"a", "b", "c"}) {
+		t.Fatalf("assignments not sorted by ID: %v", ids)
 	}
 }
 
 func TestAllocationErrors(t *testing.T) {
 	p := curve("a", 1, 2048, 0.5, 4096, 0.4)
-	if _, err := Greedy(1024, 2048, []Profile{p}); err == nil {
-		t.Fatal("budget below minimum footprint accepted")
-	}
 	if _, err := DP(1024, 2048, []Profile{p}); err == nil {
 		t.Fatal("budget below minimum footprint accepted")
 	}
-	if _, err := Greedy(8192, 0, []Profile{p}); err == nil {
+	if _, err := DP(8192, 0, []Profile{p}); err == nil {
 		t.Fatal("zero unit accepted")
 	}
-	if _, err := Greedy(8192, 2048, nil); err == nil {
+	if _, err := DP(8192, 2048, nil); err == nil {
 		t.Fatal("no profiles accepted")
 	}
-	if _, err := Greedy(8192, 2048, []Profile{p, p}); err == nil {
+	if _, err := DP(8192, 2048, []Profile{p, p}); err == nil {
 		t.Fatal("duplicate profile accepted")
 	}
 	if _, err := DP(8192, 2048, []Profile{{ID: "x"}}); err == nil {

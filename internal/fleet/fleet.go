@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"selftune/internal/cache"
 	"selftune/internal/checkpoint"
 	"selftune/internal/daemon"
 	"selftune/internal/fleet/allocator"
@@ -50,16 +51,15 @@ type Options struct {
 	// session's queue is full; drops are counted per session. Shedding
 	// breaks the bit-identical-to-solo guarantee for sessions that shed.
 	Shed bool
-	// Session is the per-session daemon configuration template. Its Dir,
-	// Keep and Reg fields are managed by the fleet (Dir is namespaced per
-	// session under Options.Dir; gauges are fleet-labelled); Rec is
-	// replaced by the fleet recorder stamped with the session ID.
+	// Session is the per-session daemon configuration template; its Keep
+	// is each session's checkpoint retention. Its Dir and Reg fields are
+	// managed by the fleet (Dir is namespaced per session under
+	// Options.Dir; gauges are fleet-labelled); Rec is replaced by the fleet
+	// recorder stamped with the session ID.
 	Session daemon.Options
 	// Dir is the fleet checkpoint root ("" disables persistence): one
 	// store per session under sessions/, see checkpoint.FleetStore.
 	Dir string
-	// Keep is checkpoint generations retained per session. Default 4.
-	Keep int
 	// Rec receives fleet telemetry and, stamped with an "sid" field, each
 	// session's events. nil records nothing.
 	Rec obs.Recorder
@@ -67,24 +67,20 @@ type Options struct {
 	// series plus fleet totals.
 	Reg *obs.Registry
 
-	// AllocBudgetBytes enables the capacity allocator: a shared budget
-	// partitioned across sessions by expected miss savings. 0 disables.
+	// AllocBudgetBytes enables the capacity plan: a shared budget
+	// partitioned across the live sessions, in bank-sized units
+	// (cache.BankBytes), by the exact allocator over their miss-ratio
+	// curves. The plan is recomputed on session open, close and failure
+	// and on every profile refresh (each settled search). Without
+	// EnforceBudget it is advisory: Plan, /statusz, the fleet.alloc events
+	// and the fleet_alloc_bytes gauges report the plan enforcement would
+	// apply right now, and no session's search is touched. 0 disables.
 	AllocBudgetBytes int
-	// AllocUnit is the allocation granularity in bytes. Default 2048 (the
-	// configurable cache's bank size).
-	AllocUnit int
-	// AllocEvery re-runs the allocation after this many new session
-	// profiles (settled searches). Default 1.
-	AllocEvery int
-	// AllocDP selects the exact grouped-knapsack solver over the greedy
-	// marginal-gain one.
-	AllocDP bool
 
 	// EnforceBudget makes the capacity plan binding instead of advisory:
 	// every session's search is constrained to its assignment
-	// (daemon.SetBudget → tuner.Space.Constrain), assignments are
-	// recomputed on session open, close and profile refresh, and Open is
-	// subject to admission control — a session the budget cannot give the
+	// (daemon.SetBudget → tuner.Space.Constrain), and Open is subject to
+	// admission control — a session the budget cannot give the
 	// minimum footprint is parked in the bounded pending queue or rejected
 	// with *AdmissionError. Requires AllocBudgetBytes > 0. Off by default.
 	EnforceBudget bool
@@ -117,7 +113,7 @@ type Options struct {
 	// Configure, when non-nil, adjusts one session's daemon options after
 	// the fleet fills the template, at open and at every revival — the
 	// fault-injection seam for the chaos harness and a per-tenant tuning
-	// knob. Dir, Keep, Reg and Rec stay fleet-managed regardless.
+	// knob. Dir, Reg and Rec stay fleet-managed regardless.
 	Configure func(id string, o *daemon.Options)
 }
 
@@ -128,14 +124,8 @@ func (o *Options) fill() {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 65536
 	}
-	if o.Keep == 0 {
-		o.Keep = 4
-	}
-	if o.AllocUnit <= 0 {
-		o.AllocUnit = 2048
-	}
-	if o.AllocEvery <= 0 {
-		o.AllocEvery = 1
+	if o.Session.Keep == 0 {
+		o.Session.Keep = 4 // daemon.Options' default
 	}
 	if o.PendingQueue == 0 {
 		o.PendingQueue = 4
@@ -199,7 +189,6 @@ type Manager struct {
 
 	allocMu       sync.Mutex
 	profiles      map[string]allocator.Profile
-	settles       int // profiles refreshed since the last allocation
 	plan          *allocator.Plan
 	allocOrdinals uint64
 }
@@ -298,7 +287,7 @@ func New(opts Options) (*Manager, error) {
 		m.hists = newFleetHists(opts.Reg)
 	}
 	if opts.Dir != "" {
-		fs, err := checkpoint.OpenFleetStore(opts.Dir, opts.Keep)
+		fs, err := checkpoint.OpenFleetStore(opts.Dir, opts.Session.Keep)
 		if err != nil {
 			return nil, err
 		}
@@ -313,11 +302,7 @@ func New(opts Options) (*Manager, error) {
 					m.restored[id] = b
 				}
 				for _, p := range st.Profiles {
-					prof := allocator.Profile{ID: p.ID, Weight: p.Weight}
-					for _, pt := range p.Points {
-						prof.Points = append(prof.Points, allocator.Point{Bytes: pt.Bytes, MissRate: pt.MissRate})
-					}
-					m.profiles[prof.ID] = prof
+					m.profiles[p.ID] = p
 				}
 			}
 		}
@@ -397,7 +382,6 @@ func (m *Manager) OpenTraced(id, trce string) error {
 	}
 	sopts := m.opts.Session
 	sopts.Dir = ""
-	sopts.Keep = m.opts.Keep
 	sopts.Reg = nil
 	sopts.Rec = stamp()
 	if m.opts.EnforceBudget {
@@ -411,7 +395,6 @@ func (m *Manager) OpenTraced(id, trce string) error {
 		cfg(id, &sopts)
 		// The hook cannot take over the fleet-managed fields.
 		sopts.Dir = ""
-		sopts.Keep = m.opts.Keep
 		sopts.Reg = nil
 		sopts.Rec = stamp()
 	}
@@ -1306,7 +1289,7 @@ func (m *Manager) observe(s *session, d *daemon.Daemon) {
 }
 
 // maybeProfile refreshes the session's allocator profile when a new search
-// has settled since the last look.
+// has settled since the last look, and replans around it.
 func (m *Manager) maybeProfile(s *session, d *daemon.Daemon) {
 	if m.opts.AllocBudgetBytes <= 0 {
 		return
@@ -1324,69 +1307,21 @@ func (m *Manager) maybeProfile(s *session, d *daemon.Daemon) {
 	if !ok {
 		return
 	}
-	m.updateProfile(prof)
-	if m.opts.EnforceBudget {
-		// A refreshed curve can shift the optimal partition: replan and
-		// persist so the new assignments reach the sessions (at their next
-		// batch) and survive a crash.
-		m.replan()
-		m.persistState()
-	}
-}
-
-// updateProfile installs a refreshed session profile and re-runs the
-// allocation when the cadence is due. By default the plan is advisory —
-// telemetry and gauges for the platform's capacity controller — and never
-// alters a session's own tuning decisions; with EnforceBudget the new plan
-// is pushed back onto unpinned sessions as budget constraints (replan).
-func (m *Manager) updateProfile(p allocator.Profile) {
 	m.allocMu.Lock()
-	defer m.allocMu.Unlock()
-	m.profiles[p.ID] = p
-	m.settles++
-	if m.settles < m.opts.AllocEvery {
-		return
-	}
-	m.settles = 0
-	profs := make([]allocator.Profile, 0, len(m.profiles))
-	for _, prof := range m.profiles {
-		profs = append(profs, prof)
-	}
-	alloc := allocator.Greedy
-	algo := "greedy"
-	if m.opts.AllocDP {
-		alloc, algo = allocator.DP, "dp"
-	}
-	plan, err := alloc(m.opts.AllocBudgetBytes, m.opts.AllocUnit, profs)
-	if err != nil {
-		m.emit("fleet.alloc_error", slog.String("error", err.Error()))
-		return
-	}
-	m.plan = &plan
-	m.allocOrdinals++
-	fields := []slog.Attr{
-		slog.String("algo", algo),
-		slog.Uint64("ordinal", m.allocOrdinals),
-		slog.Int("budget_bytes", plan.TotalBytes),
-		slog.Int("assigned_bytes", plan.AssignedBytes),
-		slog.Float64("total_misses", plan.TotalMisses),
-	}
-	for _, a := range plan.Assignments {
-		fields = append(fields, slog.Group(a.ID,
-			slog.Int("bytes", a.Bytes),
-			slog.Float64("misses", a.Misses)))
-	}
-	m.emit("fleet.alloc", fields...)
-	if reg := m.opts.Reg; reg != nil {
-		reg.Counter("fleet_allocs_total").Inc()
-		reg.Gauge("fleet_alloc_assigned_bytes").Set(float64(plan.AssignedBytes))
-		for _, a := range plan.Assignments {
-			reg.GaugeWith("fleet_alloc_bytes", "session", a.ID).Set(float64(a.Bytes))
-		}
-	}
+	m.profiles[s.id] = prof
+	m.allocMu.Unlock()
+	// A refreshed curve can shift the optimal partition: replan, and (when
+	// enforcing) persist so the new assignments survive a crash.
+	m.replan()
+	m.persistState()
 }
 
-// Plan returns the most recent capacity allocation, nil before the first.
+// Plan returns the most recent capacity plan, nil before the first: one
+// assignment per live, admitted, non-failed session, sorted by ID. It is
+// the plan enforcement applies — under EnforceBudget each assignment is the
+// session's Budget — and, when advisory, the plan enforcement would apply
+// right now. An assignment's Misses is 0 until its session has a profile. A
+// fleet whose last session closed keeps its last plan.
 func (m *Manager) Plan() *allocator.Plan {
 	m.allocMu.Lock()
 	defer m.allocMu.Unlock()
@@ -1402,17 +1337,19 @@ func alignDown(n, unit, floor int) int {
 	return n
 }
 
-// replan recomputes every admitted session's capacity assignment (enforce
-// mode) — on open, close and profile refresh. Pinned sessions keep their
-// Options.Assignments value and subtract from the pool; unprofiled dynamic
-// sessions take an equal unit-aligned share; profiled dynamic sessions split
-// what remains by the allocator (greedy or DP over their miss-ratio curves,
-// falling back to the equal share if the planner rejects the request).
-// Changed assignments are staged on the session (budgetDirty) and applied by
-// its shard worker at the next batch start — the only point serialised with
-// the daemon's Step — and announced as a sid-stamped "fleet.realloc" event.
+// replan recomputes the capacity plan over the live, admitted, non-failed
+// sessions — on open, close, failure and profile refresh. Pinned sessions
+// keep their Options.Assignments value and subtract from the pool;
+// unprofiled sessions take an equal bank-aligned share; profiled sessions
+// split what remains by allocator.DP over their miss-ratio curves (falling
+// back to the equal share if the planner rejects the request). The result
+// becomes Plan and is published as a "fleet.alloc" event and the
+// fleet_alloc_bytes gauges. Under EnforceBudget, changed assignments are
+// also staged on the session (budgetDirty) and applied by its shard worker
+// at the next batch start — the only point serialised with the daemon's
+// Step — and announced as a sid-stamped "fleet.realloc" event.
 func (m *Manager) replan() {
-	if !m.opts.EnforceBudget {
+	if m.opts.AllocBudgetBytes <= 0 {
 		return
 	}
 	m.allocMu.Lock()
@@ -1446,7 +1383,7 @@ func (m *Manager) replan() {
 		}
 	}
 	if len(dynamic) > 0 {
-		share := alignDown(pool/len(dynamic), m.opts.AllocUnit, m.minBytes)
+		share := alignDown(pool/len(dynamic), cache.BankBytes, m.minBytes)
 		var profiled []allocator.Profile
 		for _, s := range dynamic {
 			if p, ok := m.profiles[s.id]; ok {
@@ -1457,11 +1394,7 @@ func (m *Manager) replan() {
 			}
 		}
 		if len(profiled) > 0 {
-			alloc := allocator.Greedy
-			if m.opts.AllocDP {
-				alloc = allocator.DP
-			}
-			plan, err := alloc(pool, m.opts.AllocUnit, profiled)
+			plan, err := allocator.DP(pool, cache.BankBytes, profiled)
 			if err == nil {
 				for _, a := range plan.Assignments {
 					assign[a.ID] = a.Bytes
@@ -1476,6 +1409,41 @@ func (m *Manager) replan() {
 				}
 			}
 		}
+	}
+
+	plan := allocator.Plan{TotalBytes: m.opts.AllocBudgetBytes, Unit: cache.BankBytes}
+	for _, s := range live {
+		a := allocator.Assignment{ID: s.id, Bytes: assign[s.id]}
+		if p, ok := m.profiles[s.id]; ok {
+			a.Misses = p.Misses(a.Bytes)
+		}
+		plan.Assignments = append(plan.Assignments, a)
+		plan.AssignedBytes += a.Bytes
+		plan.TotalMisses += a.Misses
+	}
+	m.plan = &plan
+	m.allocOrdinals++
+	fields := []slog.Attr{
+		slog.Uint64("ordinal", m.allocOrdinals),
+		slog.Int("budget_bytes", plan.TotalBytes),
+		slog.Int("assigned_bytes", plan.AssignedBytes),
+		slog.Float64("total_misses", plan.TotalMisses),
+	}
+	for _, a := range plan.Assignments {
+		fields = append(fields, slog.Group(a.ID,
+			slog.Int("bytes", a.Bytes),
+			slog.Float64("misses", a.Misses)))
+	}
+	m.emit("fleet.alloc", fields...)
+	if reg := m.opts.Reg; reg != nil {
+		reg.Counter("fleet_allocs_total").Inc()
+		reg.Gauge("fleet_alloc_assigned_bytes").Set(float64(plan.AssignedBytes))
+		for _, a := range plan.Assignments {
+			reg.GaugeWith("fleet_alloc_bytes", "session", a.ID).Set(float64(a.Bytes))
+		}
+	}
+	if !m.opts.EnforceBudget {
+		return
 	}
 
 	for _, s := range live {
@@ -1498,9 +1466,6 @@ func (m *Manager) replan() {
 			slog.String("sid", s.id),
 			slog.Int("budget_bytes", b),
 			slog.Int("prev_bytes", prev))
-		if reg := m.opts.Reg; reg != nil {
-			reg.GaugeWith("fleet_assigned_bytes", "session", s.id).Set(float64(b))
-		}
 	}
 }
 
@@ -1537,12 +1502,7 @@ func (m *Manager) persistState() {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		p := m.profiles[id]
-		fp := checkpoint.FleetProfile{ID: p.ID, Weight: p.Weight}
-		for _, pt := range p.Points {
-			fp.Points = append(fp.Points, checkpoint.MRCPoint{Bytes: pt.Bytes, MissRate: pt.MissRate})
-		}
-		st.Profiles = append(st.Profiles, fp)
+		st.Profiles = append(st.Profiles, m.profiles[id])
 	}
 	m.allocMu.Unlock()
 	if err := m.store.SaveState(st); err != nil {

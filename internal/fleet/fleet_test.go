@@ -258,12 +258,11 @@ func TestAllocatorRunsOnSettle(t *testing.T) {
 		Shards:           2,
 		Session:          daemon.Options{Window: 1_000},
 		AllocBudgetBytes: 16384,
-		AllocUnit:        2048,
-		AllocDP:          true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	for _, n := range []string{"crc", "fir"} {
 		if err := m.Open(n); err != nil {
 			t.Fatal(err)
@@ -272,8 +271,10 @@ func TestAllocatorRunsOnSettle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
+	for _, n := range []string{"crc", "fir"} {
+		if err := m.Quiesce(n); err != nil {
+			t.Fatal(err)
+		}
 	}
 	plan := m.Plan()
 	if plan == nil {
@@ -288,6 +289,60 @@ func TestAllocatorRunsOnSettle(t *testing.T) {
 	for _, a := range plan.Assignments {
 		if a.Bytes <= 0 {
 			t.Fatalf("session %s assigned %d bytes", a.ID, a.Bytes)
+		}
+	}
+}
+
+// TestPlanIsTheEnforcedPlan runs one tenant to its settle and closes it,
+// then does the same with a second, in an advisory and in an enforced
+// fleet. After each settle the plan must name exactly the live sessions —
+// never a closed one — and, under enforcement, assign each the budget it
+// actually runs under: there is one plan, and it is the one enforced.
+func TestPlanIsTheEnforcedPlan(t *testing.T) {
+	for _, enforce := range []bool{false, true} {
+		m, err := New(Options{
+			Shards:           2,
+			Session:          daemon.Options{Window: 1_000},
+			AllocBudgetBytes: 16384,
+			EnforceBudget:    enforce,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"crc", "fir"} {
+			if err := m.Open(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Submit(id, genTrace(t, id, 300_000)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Quiesce(id); err != nil {
+				t.Fatal(err)
+			}
+			d, err := m.Session(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Settled() == nil {
+				t.Fatalf("enforce=%v: %s never settled", enforce, id)
+			}
+			plan := m.Plan()
+			if plan == nil || len(plan.Assignments) != 1 || plan.Assignments[0].ID != id {
+				t.Fatalf("enforce=%v: after %s settled, plan = %+v, want exactly the live session %s", enforce, id, plan, id)
+			}
+			if enforce {
+				for _, a := range plan.Assignments {
+					if b, err := m.Budget(a.ID); err != nil || b != a.Bytes {
+						t.Fatalf("plan assigns %s %d B, but it runs under Budget() = %d, %v", a.ID, a.Bytes, b, err)
+					}
+				}
+			}
+			if err := m.CloseSession(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

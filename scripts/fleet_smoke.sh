@@ -16,7 +16,7 @@ go build -o "$tmp/stcexplain" ./cmd/stcexplain
 
 "$tmp/stcd" -serve -addr 127.0.0.1:0 -dir "$tmp/fleet" -window 1000 \
     -obs-addr 127.0.0.1:0 -obs-log "$tmp/events.jsonl" \
-    -alloc-budget 16384 -alloc-dp \
+    -alloc-budget 16384 \
     >"$tmp/stcd.out" 2>&1 &
 pid=$!
 
