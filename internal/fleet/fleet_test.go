@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"selftune/internal/cache"
 	"selftune/internal/checkpoint"
 	"selftune/internal/daemon"
+	"selftune/internal/fleet/allocator"
 	"selftune/internal/obs"
 	"selftune/internal/trace"
 	"selftune/internal/workload"
@@ -290,6 +293,22 @@ func TestAllocatorRunsOnSettle(t *testing.T) {
 		if a.Bytes <= 0 {
 			t.Fatalf("session %s assigned %d bytes", a.ID, a.Bytes)
 		}
+	}
+	// A plan exists from the first open; the settles must have replaced the
+	// equal shares with DP over both sessions' measured curves.
+	m.allocMu.Lock()
+	crc, okCRC := m.profiles["crc"]
+	fir, okFIR := m.profiles["fir"]
+	m.allocMu.Unlock()
+	if !okCRC || !okFIR {
+		t.Fatalf("settled sessions left no profiles (crc %v, fir %v)", okCRC, okFIR)
+	}
+	want, err := allocator.DP(16384, cache.BankBytes, []allocator.Profile{crc, fir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plan.Assignments, want.Assignments) {
+		t.Fatalf("plan %+v, want DP over the settled profiles %+v", plan.Assignments, want.Assignments)
 	}
 }
 
